@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -14,11 +15,15 @@ import (
 // Order-insensitive bodies stay legal: pure reads, commutative aggregation
 // (sums, maxima), writes into another map keyed by the iteration variable,
 // and the collect-then-sort idiom (append the keys, sort them after the
-// loop, then iterate the slice).
+// loop, then iterate the slice). A maximum stops being order-insensitive
+// once the body also remembers *which* key attained it: storing the
+// iteration key in a variable declared outside the loop (the argmax idiom)
+// picks among tied values in iteration order, so it is flagged.
 var DetRange = &Analyzer{
 	Name: "detrange",
 	Doc: "flag range-over-map whose body schedules events, calls into simulation state, sends, " +
-		"or appends order-bearing slices; sort the keys first (waive with //lint:allow-maprange)",
+		"appends order-bearing slices, or keeps the key of an argmax; sort the keys first " +
+		"(waive with //lint:allow-maprange)",
 	Run: runDetRange,
 }
 
@@ -58,6 +63,13 @@ func runDetRange(pass *Pass) {
 // mapRangeEffect describes the first order-bearing effect in the body of a
 // map-range statement, or "" when the body is order-insensitive.
 func (pass *Pass) mapRangeEffect(fn *ast.FuncDecl, rs *ast.RangeStmt) string {
+	var key types.Object
+	if id, ok := rs.Key.(*ast.Ident); ok {
+		key = pass.Info.Defs[id]
+		if key == nil {
+			key = pass.Info.Uses[id]
+		}
+	}
 	effect := ""
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		if effect != "" {
@@ -70,6 +82,9 @@ func (pass *Pass) mapRangeEffect(fn *ast.FuncDecl, rs *ast.RangeStmt) string {
 			if dest := appendDest(pass.Info, n); dest != nil && pass.destOutlivesLoop(dest, rs) &&
 				!pass.sortedAfter(fn, rs, dest) {
 				effect = "appends to a slice that outlives the loop (and is not sorted afterwards)"
+			} else if dest := pass.keyStore(n, key, rs); dest != "" {
+				effect = "stores the iteration key in " + dest +
+					", declared outside the loop, so tied values resolve in iteration order"
 			}
 		case *ast.CallExpr:
 			if tv, ok := pass.Info.Types[n.Fun]; ok && tv.IsType() {
@@ -88,6 +103,60 @@ func (pass *Pass) mapRangeEffect(fn *ast.FuncDecl, rs *ast.RangeStmt) string {
 		return effect == ""
 	})
 	return effect
+}
+
+// keyStore returns the destination of a plain assignment in a map-range body
+// that copies the iteration key into a location declared outside the loop,
+// or "". Writes indexed by the key, and writes through variables declared in
+// the loop, are per-key rather than a single winner and stay legal.
+func (pass *Pass) keyStore(as *ast.AssignStmt, key types.Object, rs *ast.RangeStmt) string {
+	if key == nil || as.Tok != token.ASSIGN || len(as.Lhs) != len(as.Rhs) {
+		return ""
+	}
+	for i, rhs := range as.Rhs {
+		if !pass.isKey(rhs, key) {
+			continue
+		}
+		lhs := ast.Unparen(as.Lhs[i])
+		if ix, ok := lhs.(*ast.IndexExpr); ok && pass.isKey(ix.Index, key) {
+			continue
+		}
+		if root := rootIdent(lhs); root != nil && root.Name != "_" && pass.destOutlivesLoop(root, rs) {
+			return types.ExprString(lhs)
+		}
+	}
+	return ""
+}
+
+// isKey reports whether e is the iteration key, possibly converted.
+func (pass *Pass) isKey(e ast.Expr, key types.Object) bool {
+	e = ast.Unparen(e)
+	if call, ok := e.(*ast.CallExpr); ok && len(call.Args) == 1 {
+		if tv, ok := pass.Info.Types[call.Fun]; ok && tv.IsType() {
+			e = ast.Unparen(call.Args[0])
+		}
+	}
+	id, ok := e.(*ast.Ident)
+	return ok && pass.Info.Uses[id] == key
+}
+
+// rootIdent returns the variable an assignable expression writes through:
+// x for x, x.f, x[i] and *x.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }
 
 // appendDest returns the assignment destination expression of an

@@ -9,8 +9,9 @@ import (
 
 // HotPathRequired names the functions the hot-path benchmarks cover
 // (BenchmarkSimProcessSwitch*, BenchmarkNetTransfer*,
-// BenchmarkDataflowPipeline*): the scheduler core, the mailbox primitives,
-// and the transfer/data-plane sends. Each must carry a //lint:hotpath
+// BenchmarkDataflowPipeline*, BenchmarkEvaluate): the scheduler core, the
+// mailbox primitives, the transfer/data-plane sends, and the optimiser's
+// per-candidate scorer. Each must carry a //lint:hotpath
 // annotation so the allocation checks below watch it; renaming or moving one
 // fails the lint until this list is updated, which is the point — the
 // benchmark surface is part of the contract.
@@ -30,6 +31,9 @@ var HotPathRequired = map[string][]string{
 		"(*node).send",
 		"(*node).sendData",
 		"(*node).readImage",
+	},
+	"wadc/internal/plan": {
+		"(*Evaluator).Cost",
 	},
 }
 

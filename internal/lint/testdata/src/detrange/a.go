@@ -35,6 +35,19 @@ func violations(k *Kernel, m map[int]string, ch chan int) {
 	}
 }
 
+// argmax keeps the largest load and the host it lives on. The maximum is
+// order-insensitive, but with two hosts at the same load the host it reports
+// is whichever the iteration happens to visit first.
+func argmax(load map[int]float64) (int, float64) {
+	best, bestHost := 0.0, -1
+	for h, l := range load { // want "map iteration order is random but the loop body stores the iteration key in bestHost"
+		if l > best {
+			best, bestHost = l, h
+		}
+	}
+	return bestHost, best
+}
+
 func legal(k *Kernel, m map[int]string) {
 	// Commutative aggregation: no order-bearing effect.
 	total := 0
@@ -62,6 +75,33 @@ func legal(k *Kernel, m map[int]string) {
 	for h := range m {
 		_ = int64(h)
 	}
+
+	// Keyed writes and writes through loop variables are per key, not a
+	// single winner.
+	first := make(map[int]int, len(m))
+	for h := range m {
+		first[h] = h
+	}
+	type slot struct{ host int }
+	slots := make(map[int]*slot, len(m))
+	for h, s := range slots {
+		s.host = h
+	}
+
+	// Argmax over sorted keys: ties resolve to the lowest key every run.
+	load := map[int]float64{}
+	hostKeys := make([]int, 0, len(load))
+	for h := range load {
+		hostKeys = append(hostKeys, h)
+	}
+	sort.Ints(hostKeys)
+	best, bestHost := 0.0, -1
+	for _, h := range hostKeys {
+		if l := load[h]; l > best {
+			best, bestHost = l, h
+		}
+	}
+	_ = bestHost
 
 	//lint:allow-maprange drain order does not reach the kernel
 	for h := range m {

@@ -25,7 +25,10 @@ const maxOneShotRounds = 10000
 //	  remember the cheapest resulting placement
 //	until it is no cheaper than the current one
 //
-// The returned placement is a new value; the input is not modified.
+// bw is called at most once per ordered host pair per call, in the order the
+// search first needs each edge, and is treated as a fixed snapshot for the
+// whole search. The returned placement is a new value; the input is not
+// modified.
 func OneShotOptimize(initial *plan.Placement, hosts []netmodel.HostID, model plan.CostModel, bw plan.BandwidthFn) *plan.Placement {
 	return OneShotOptimizeAudited(initial, hosts, model, bw, Decision{})
 }
@@ -37,41 +40,45 @@ func OneShotOptimize(initial *plan.Placement, hosts []netmodel.HostID, model pla
 // Auditor.StartDecision first; this function closes the record with d.End).
 // A zero d is exactly OneShotOptimize: the search itself is byte-identical
 // either way.
+//
+// One plan.Evaluator serves the whole decision. Each candidate is scored by
+// moving the operator in place on the working placement and moving it back;
+// only the winning move of a round is applied.
 func OneShotOptimizeAudited(initial *plan.Placement, hosts []netmodel.HostID, model plan.CostModel, bw plan.BandwidthFn, d Decision) *plan.Placement {
 	cur := initial.Clone()
-	first := model.Evaluate(cur, bw)
-	d.Path(first.Cost, first.Path)
-	curCost := first.Cost
+	ev := model.NewEvaluator(cur, hosts, bw)
+	eval := ev.Evaluate(cur)
+	d.Path(eval.Cost, eval.Path)
+	curCost := eval.Cost
 	candidates := 0
 	for round := 0; round < maxOneShotRounds; round++ {
-		eval := model.Evaluate(cur, bw)
 		bestCost := curCost
-		var best *plan.Placement
-		var bestOp plan.NodeID
+		bestOp := plan.NoNode
 		var bestFrom, bestTo netmodel.HostID
 		for _, op := range eval.CriticalOperators(cur.Tree()) {
+			from := cur.Loc(op)
 			for _, h := range hosts {
-				if h == cur.Loc(op) {
+				if h == from {
 					continue
 				}
-				cand := cur.Clone()
-				cand.SetLoc(op, h)
-				c := model.Evaluate(cand, bw).Cost
+				cur.SetLoc(op, h)
+				c := ev.Cost(cur)
+				cur.SetLoc(op, from)
 				candidates++
-				d.Candidate(op, cur.Loc(op), h, round, c, false)
+				d.Candidate(op, from, h, round, c, false)
 				if c < bestCost-improvementEps {
 					bestCost = c
-					best = cand
-					bestOp, bestFrom, bestTo = op, cur.Loc(op), h
+					bestOp, bestFrom, bestTo = op, from, h
 				}
 			}
 		}
-		if best == nil {
+		if bestOp == plan.NoNode {
 			break
 		}
 		d.Move(bestOp, bestFrom, bestTo, curCost-bestCost)
-		cur = best
+		cur.SetLoc(bestOp, bestTo)
 		curCost = bestCost
+		eval = ev.Evaluate(cur)
 	}
 	d.End(curCost, candidates)
 	return cur
