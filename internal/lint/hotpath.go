@@ -9,9 +9,10 @@ import (
 
 // HotPathRequired names the functions the hot-path benchmarks cover
 // (BenchmarkSimProcessSwitch*, BenchmarkNetTransfer*,
-// BenchmarkDataflowPipeline*, BenchmarkEvaluate): the scheduler core, the
-// mailbox primitives, the transfer/data-plane sends, and the optimiser's
-// per-candidate scorer. Each must carry a //lint:hotpath
+// BenchmarkDataflowPipeline*, BenchmarkEvaluate, BenchmarkPiggyback): the
+// scheduler core, the mailbox primitives, the transfer/data-plane sends, the
+// optimiser's per-candidate scorer, and the monitor's per-message piggyback
+// hooks. Each must carry a //lint:hotpath
 // annotation so the allocation checks below watch it; renaming or moving one
 // fails the lint until this list is updated, which is the point — the
 // benchmark surface is part of the contract.
@@ -34,6 +35,11 @@ var HotPathRequired = map[string][]string{
 	},
 	"wadc/internal/plan": {
 		"(*Evaluator).Cost",
+	},
+	"wadc/internal/monitor": {
+		"(*System).BeforeSend",
+		"(*System).AfterDeliver",
+		"(*Cache).Record",
 	},
 }
 

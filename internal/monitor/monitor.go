@@ -10,7 +10,6 @@
 package monitor
 
 import (
-	"sort"
 	"time"
 
 	"wadc/internal/netmodel"
@@ -138,36 +137,112 @@ func DefaultConfig() Config {
 	}
 }
 
-type pairKey [2]netmodel.HostID
-
-func keyOf(a, b netmodel.HostID) pairKey {
+// pairIndex is the dense table slot of the unordered pair {a, b}:
+// b*(b+1)/2 + a with a <= b. It does not depend on the host count, so a
+// table only grows when a higher host ID first appears.
+func pairIndex(a, b netmodel.HostID) int {
 	if a > b {
 		a, b = b, a
 	}
-	return pairKey{a, b}
+	return int(b)*(int(b)+1)/2 + int(a)
 }
 
-// Cache is one host's bandwidth measurement cache.
+// before is the piggyback order: newest first, ties broken by pair. Pairs
+// are unique within a cache, so the order is total.
+func before(x, y Entry) bool {
+	if x.At != y.At {
+		return x.At > y.At
+	}
+	if x.A != y.A {
+		return x.A < y.A
+	}
+	return x.B < y.B
+}
+
+// slot is one dense-table cell; ok marks a pair the cache has seen.
+type slot struct {
+	e  Entry
+	ok bool
+}
+
+// piggyback is one published freshest list. It is immutable: messages in
+// flight and duplicated deliveries may still read it after the sender's
+// cache has moved on, so a change drops the cache's reference and never
+// writes into the entries.
+type piggyback struct {
+	entries []Entry
+}
+
+// Cache is one host's bandwidth measurement cache. table answers lookups by
+// pair; order holds the same entries in piggyback order, so attaching the
+// freshest measurements is a prefix copy rather than a sort.
 type Cache struct {
-	host    netmodel.HostID
-	sys     *System
-	entries map[pairKey]Entry
+	sys   *System
+	table []slot
+	order []Entry
+	// snap is the piggyback published for the current contents, shared by
+	// every message sent until a Record changes the cache.
+	snap *piggyback
 }
 
 // Record stores a measurement with its provenance, keeping the newer of the
-// existing and new entries for the pair.
+// existing and new entries for the pair: an equal or older timestamp is
+// ignored.
+//
+//lint:hotpath
+//lint:allocbudget 2 the pair table and order's capacity grow together when a higher host ID first appears; otherwise entries shift in place
 func (c *Cache) Record(a, b netmodel.HostID, bw trace.Bandwidth, at sim.Time, prov Provenance) {
-	k := keyOf(a, b)
-	if cur, ok := c.entries[k]; ok && cur.At >= at {
-		return
+	if a > b {
+		a, b = b, a
 	}
-	c.entries[k] = Entry{A: k[0], B: k[1], BW: bw, At: at, Prov: prov}
+	k := pairIndex(a, b)
+	// old is the slot the pair's entry leaves: its current position, or a
+	// new last element. Everything between the new entry's position and old
+	// sorts after the new entry, so one shift makes room.
+	old := len(c.order)
+	if k < len(c.table) && c.table[k].ok {
+		cur := c.table[k].e
+		if cur.At >= at {
+			return
+		}
+		old = c.search(cur, old)
+	} else {
+		if k >= len(c.table) {
+			// Room for every pair up to host b, so order never outgrows
+			// its capacity between table growths.
+			n := (int(b) + 1) * (int(b) + 2) / 2
+			c.table = append(c.table, make([]slot, n-len(c.table))...)
+			c.order = append(make([]Entry, 0, n), c.order...)
+		}
+		c.order = append(c.order, Entry{})
+	}
+	e := Entry{A: a, B: b, BW: bw, At: at, Prov: prov}
+	i := c.search(e, old)
+	copy(c.order[i+1:old+1], c.order[i:old])
+	c.order[i] = e
+	c.table[k] = slot{e: e, ok: true}
+	c.snap = nil
+}
+
+// search returns the first position in order[:n] whose entry does not sort
+// before e.
+func (c *Cache) search(e Entry, n int) int {
+	lo, hi := 0, n
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if before(c.order[m], e) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // Lookup returns the cached measurement for (a, b) if it is fresh (younger
 // than T_thres).
 func (c *Cache) Lookup(a, b netmodel.HostID) (Entry, bool) {
-	e, ok := c.entries[keyOf(a, b)]
+	e, ok := c.LookupAny(a, b)
 	if !ok {
 		return Entry{}, false
 	}
@@ -179,32 +254,33 @@ func (c *Cache) Lookup(a, b netmodel.HostID) (Entry, bool) {
 
 // LookupAny returns the cached measurement regardless of age.
 func (c *Cache) LookupAny(a, b netmodel.HostID) (Entry, bool) {
-	e, ok := c.entries[keyOf(a, b)]
-	return e, ok
+	if k := pairIndex(a, b); k < len(c.table) && c.table[k].ok {
+		return c.table[k].e, true
+	}
+	return Entry{}, false
 }
 
 // Len returns the number of cached entries (including stale ones).
-func (c *Cache) Len() int { return len(c.entries) }
+func (c *Cache) Len() int { return len(c.order) }
 
-// freshest returns up to max entries, newest first.
+// freshest returns a copy of up to max entries, newest first.
 func (c *Cache) freshest(max int) []Entry {
-	all := make([]Entry, 0, len(c.entries))
-	for _, e := range c.entries {
-		all = append(all, e)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].At != all[j].At {
-			return all[i].At > all[j].At
+	n := min(len(c.order), max)
+	return append([]Entry(nil), c.order[:n]...)
+}
+
+// published returns the piggyback for the cache's current contents, or nil
+// when there is nothing to attach. It copies the freshest entries only on
+// the first call after a change.
+func (c *Cache) published() *piggyback {
+	if c.snap == nil {
+		entries := c.freshest(c.sys.maxEntries)
+		if len(entries) == 0 {
+			return nil
 		}
-		if all[i].A != all[j].A {
-			return all[i].A < all[j].A
-		}
-		return all[i].B < all[j].B
-	})
-	if len(all) > max {
-		all = all[:max]
+		c.snap = &piggyback{entries: entries}
 	}
-	return all
+	return c.snap
 }
 
 // merge folds piggybacked entries into the cache, keeping newer timestamps.
@@ -214,6 +290,11 @@ func (c *Cache) freshest(max int) []Entry {
 // relayed pessimistic bound is still a bound, not a measurement).
 func (c *Cache) merge(entries []Entry) {
 	for _, e := range entries {
+		// Most entries are already held at least as fresh here; skip them
+		// before building the Record arguments.
+		if k := pairIndex(e.A, e.B); k < len(c.table) && c.table[k].ok && c.table[k].e.At >= e.At {
+			continue
+		}
 		prov := ProvPiggyback
 		if e.Prov == ProvStaleFallback {
 			prov = ProvStaleFallback
@@ -228,14 +309,14 @@ func (c *Cache) merge(entries []Entry) {
 type System struct {
 	net    *netmodel.Network
 	cfg    Config
-	caches map[netmodel.HostID]*Cache
+	caches []*Cache // indexed by host ID, grown on demand
+	// maxEntries is how many entries fit in the piggyback budget.
+	maxEntries int
 
-	probes       int64
-	passiveMeas  int64
-	cacheHits    int64
-	cacheMisses  int64
-	piggybacked  int64
-	mergedErrors int64 // reserved; merge cannot currently fail
+	probes      int64
+	passiveMeas int64
+	cacheHits   int64
+	cacheMisses int64
 
 	// ProbeNetwork state.
 	demons   bool
@@ -264,7 +345,7 @@ func NewSystem(net *netmodel.Network, cfg Config) *System {
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = DefaultProbeTimeout
 	}
-	s := &System{net: net, cfg: cfg, caches: make(map[netmodel.HostID]*Cache)}
+	s := &System{net: net, cfg: cfg, maxEntries: cfg.PiggybackBudget / cfg.EntrySize}
 	net.Observe(s)
 	if cfg.ProbeMode == ProbeNetwork {
 		s.EnableNetworkProbes()
@@ -277,9 +358,12 @@ func (s *System) Config() Config { return s.cfg }
 
 // Cache returns host h's measurement cache, creating it on first use.
 func (s *System) Cache(h netmodel.HostID) *Cache {
-	c, ok := s.caches[h]
-	if !ok {
-		c = &Cache{host: h, sys: s, entries: make(map[pairKey]Entry)}
+	if int(h) >= len(s.caches) {
+		s.caches = append(s.caches, make([]*Cache, int(h)+1-len(s.caches))...)
+	}
+	c := s.caches[h]
+	if c == nil {
+		c = &Cache{sys: s}
 		s.caches[h] = c
 	}
 	return c
@@ -301,26 +385,36 @@ func (s *System) CacheHitRate() float64 {
 }
 
 // BeforeSend implements netmodel.Observer: attach the sender's freshest
-// measurements, as many as fit in the piggyback budget.
+// measurements, as many as fit in the piggyback budget. Messages sent until
+// the sender's cache next changes share one published list. A same-host
+// delivery carries nothing: its receiver's cache is the sender's, which
+// already holds every entry.
+//
+//lint:hotpath
+//lint:allocbudget 2 inlined from Cache.published and System.Cache: a changed cache publishes a new list, and a new host ID grows the cache slice; an unchanged cache allocates nothing
 func (s *System) BeforeSend(msg *netmodel.Message) {
-	maxEntries := s.cfg.PiggybackBudget / s.cfg.EntrySize
-	entries := s.Cache(msg.Src).freshest(maxEntries)
-	if len(entries) > 0 {
-		msg.Piggyback = entries
-		s.piggybacked += int64(len(entries))
+	if msg.Src == msg.Dst {
+		return
+	}
+	if pb := s.Cache(msg.Src).published(); pb != nil {
+		msg.Piggyback = pb
 	}
 }
 
 // AfterDeliver implements netmodel.Observer: record a passive measurement at
 // both endpoints if the message was large enough, and merge any piggybacked
 // entries into the receiver's cache.
+//
+//lint:hotpath
+//lint:allocbudget 2 both inlined System.Cache calls grow the cache slice when a new host ID appears; merging entries the receiver already holds is a table read per entry
 func (s *System) AfterDeliver(msg *netmodel.Message, linkDuration time.Duration) {
+	dst := s.Cache(msg.Dst)
 	if msg.Src != msg.Dst && msg.Size >= s.cfg.SThres {
 		bw := s.net.MeasuredBandwidth(msg.Size, linkDuration)
 		if bw > 0 {
 			now := s.net.Kernel().Now()
 			s.Cache(msg.Src).Record(msg.Src, msg.Dst, bw, now, ProvFreshCache)
-			s.Cache(msg.Dst).Record(msg.Src, msg.Dst, bw, now, ProvFreshCache)
+			dst.Record(msg.Src, msg.Dst, bw, now, ProvFreshCache)
 			s.passiveMeas++
 			if k := s.net.Kernel(); k.Telemetry() != nil {
 				k.Emit(telemetry.Event{
@@ -331,8 +425,8 @@ func (s *System) AfterDeliver(msg *netmodel.Message, linkDuration time.Duration)
 			}
 		}
 	}
-	if entries, ok := msg.Piggyback.([]Entry); ok {
-		s.Cache(msg.Dst).merge(entries)
+	if pb, ok := msg.Piggyback.(*piggyback); ok {
+		dst.merge(pb.entries)
 	}
 }
 

@@ -138,9 +138,9 @@ func TestPiggybackKeepsNewerAtReceiver(t *testing.T) {
 	r.sys.Cache(1).Record(1, 2, 999, 5*sim.Second, ProvFreshCache)
 	r.sys.Cache(0).Record(1, 2, 111, 0, ProvFreshCache) // older info at sender
 	r.send(0, 1, 1024)
-	e, _ := r.sys.Cache(1).LookupAny(1, 2)
-	if e.BW != 999 {
-		t.Errorf("older piggyback overwrote newer entry: %+v", e)
+	e, ok := r.sys.Cache(1).LookupAny(1, 2)
+	if !ok || e.BW != 999 || e.At != 5*sim.Second || e.Prov != ProvFreshCache {
+		t.Errorf("older piggyback overwrote newer entry: %+v ok=%v", e, ok)
 	}
 }
 
@@ -259,20 +259,25 @@ func TestConfigDefaultsFilled(t *testing.T) {
 
 func TestPiggybackOnLocalDelivery(t *testing.T) {
 	// Local (same-host) messages still pass through the observer without
-	// being measured.
+	// being measured, and carry no piggyback: the receiver's cache is the
+	// sender's.
 	r := newRig(t, DefaultConfig())
 	r.sys.Cache(0).Record(1, 2, 77, 0, ProvFreshCache)
 	r.k.Spawn("s", func(p *sim.Proc) {
 		r.net.Send(p, &netmodel.Message{Src: 0, Dst: 0, Port: "x", Size: 1 << 20, Prio: sim.PriorityData})
 	})
+	var got *netmodel.Message
 	r.k.Spawn("r", func(p *sim.Proc) {
-		r.net.Host(0).Port("x").Recv(p)
+		got = r.net.Host(0).Port("x").Recv(p).(*netmodel.Message)
 	})
 	if err := r.k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if r.sys.PassiveMeasurements() != 0 {
 		t.Error("local delivery was passively measured")
+	}
+	if got.Piggyback != nil {
+		t.Errorf("local delivery carried piggyback %v", got.Piggyback)
 	}
 }
 

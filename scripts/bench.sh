@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Run the hot-path benchmarks (sim scheduler, netmodel transfers, dataflow
-# engine, placement cost evaluation, plus the per-figure and ablation
-# benchmarks at the repo root) and record the results as BENCH_<date>.json,
-# so performance has a trajectory instead of anecdotes.
+# engine, placement cost evaluation, monitor piggybacking, plus the
+# per-figure and ablation benchmarks at the repo root) and record the results
+# as BENCH_<date>.json, so performance has a trajectory instead of anecdotes.
 #
 # Usage: scripts/bench.sh [output.json]
 #   BENCH_TIME=2s      per-benchmark time (default 1s)
@@ -20,6 +20,7 @@ pkgs=(
   ./internal/netmodel/
   ./internal/dataflow/
   ./internal/plan/
+  ./internal/monitor/
   .
 )
 

@@ -47,7 +47,8 @@ THRESH = 0.15  # warn when ns/op moved more than this fraction either way
 STRICT = os.environ.get("STRICT_ALLOCS") == "1"
 # The packages whose hot functions carry //lint:allocbudget annotations:
 # alloc movement here is blocking under --strict-allocs.
-HOT_PKGS = {"wadc/internal/sim", "wadc/internal/netmodel", "wadc/internal/dataflow", "wadc/internal/plan"}
+HOT_PKGS = {"wadc/internal/sim", "wadc/internal/netmodel", "wadc/internal/dataflow", "wadc/internal/plan",
+            "wadc/internal/monitor"}
 
 def rate(v):
     if v is None:
