@@ -339,17 +339,21 @@ func (n *node) produce(p *sim.Proc, it int) {
 		}
 		n.send(p, n.neighbor[c], env, n.e.cfg.ControlBytes, sim.PriorityControl)
 	}
-	var sizes []int64
+	// Operators are binary (plan.Tree validates it), so the input sizes fit
+	// a fixed array: no slice to grow per compose.
+	var sizes [2]int64
+	var got int
 	var lastFrom plan.NodeID
 	var lastBytes int64
-	for len(sizes) < len(children) {
+	for got < len(children) {
 		env := n.recvNew(p)
 		switch env.kind {
 		case kindData:
 			if env.iter != it {
 				panic(fmt.Sprintf("dataflow: node %d got data iter %d during produce %d", n.id, env.iter, it))
 			}
-			sizes = append(sizes, env.bytes)
+			sizes[got] = env.bytes
+			got++
 			lastFrom = env.from
 			lastBytes = env.bytes
 		case kindDemand:

@@ -10,16 +10,18 @@ import (
 // HotPathRequired names the functions the hot-path benchmarks cover
 // (BenchmarkSimProcessSwitch*, BenchmarkNetTransfer*,
 // BenchmarkDataflowPipeline*, BenchmarkEvaluate, BenchmarkPiggyback): the
-// scheduler core, the mailbox primitives, the transfer/data-plane sends, the
-// optimiser's per-candidate scorer, and the monitor's per-message piggyback
-// hooks. Each must carry a //lint:hotpath
+// scheduler core and its coroutine switch, the mailbox primitives, the
+// transfer/data-plane sends, the optimiser's per-candidate scorer, and the
+// monitor's per-message piggyback hooks. Each must carry a //lint:hotpath
 // annotation so the allocation checks below watch it; renaming or moving one
 // fails the lint until this list is updated, which is the point — the
 // benchmark surface is part of the contract.
 var HotPathRequired = map[string][]string{
 	"wadc/internal/sim": {
 		"(*Kernel).schedule",
+		"(*Kernel).resume",
 		"(*Kernel).Emit",
+		"(*Proc).block",
 		"(*Mailbox).Send",
 		"(*Mailbox).Recv",
 		"(*Proc).Hold",

@@ -18,6 +18,8 @@ func (l *looper) run() {
 	set(l, "boot")
 	_ = current(l)
 	l.reset()
+	l.drive()
+	l.driveEscape()
 }
 
 // The clock domain's registered state surface.

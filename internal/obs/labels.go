@@ -24,9 +24,9 @@ func init() {
 
 // LabelGoroutine tags the calling goroutine's CPU-profile samples with the
 // given subsystem and tenant. The kernel applies it to each process
-// goroutine at first resume (when a recorder is attached), so `go tool
-// pprof -tagfocus` can slice a profile by subsystem or tenant. Labels only
-// affect profiles; they are invisible to the simulation.
+// coroutine's goroutine at first resume (when a recorder is attached), so
+// `go tool pprof -tagfocus` can slice a profile by subsystem or tenant.
+// Labels only affect profiles; they are invisible to the simulation.
 func LabelGoroutine(s Subsystem, tenant int32) {
 	if s >= NumSubsystems {
 		s = SubsysOther

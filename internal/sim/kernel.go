@@ -14,7 +14,7 @@ import (
 // rather than by draining its event queue.
 var ErrStopped = errors.New("sim: stopped")
 
-// errKilled is the sentinel panicked into process goroutines to unwind them
+// errKilled is the sentinel panicked into process coroutines to unwind them
 // when the kernel shuts down. It never escapes the package.
 var errKilled = errors.New("sim: process killed")
 
@@ -52,7 +52,7 @@ func WithTelemetry(s telemetry.Sink) Option {
 
 // WithObserver attaches a host-process performance recorder: the kernel
 // counts every dispatched event, attributes wall time to the subsystem of
-// whatever it dispatches, and pprof-labels process goroutines by subsystem
+// whatever it dispatches, and pprof-labels process coroutines by subsystem
 // and tenant. Observation is off by default and every hook is guarded on
 // the nil recorder, so a run without one pays nothing — the same
 // guard-before-construct discipline telemetry follows. The recorder only
@@ -87,9 +87,9 @@ func (s tracerSink) Emit(ev telemetry.Event) {
 }
 
 // Kernel is a deterministic discrete-event scheduler. It owns simulated time,
-// the pending-event queue, and all process goroutines. A Kernel must be used
-// from a single goroutine (the one calling Run); process goroutines are
-// managed internally and never run concurrently with one another.
+// the pending-event queue, and all process coroutines. A Kernel must be used
+// from a single goroutine (the one calling Run); process coroutines are
+// managed internally and run only while the kernel has switched to them.
 //
 // The zero value is not usable; construct with NewKernel.
 type Kernel struct {
@@ -108,22 +108,14 @@ type Kernel struct {
 	// single-tenant / shared infrastructure.
 	tenant int32
 
-	// yield is the control-transfer channel: whichever process goroutine is
-	// running hands control back to the scheduler by sending on it.
-	yield chan struct{}
-
-	running  bool
-	stopped  bool
-	procErr  error // first process failure, reported by Run
-	liveProc int   // number of spawned, not-yet-finished processes
+	running bool
+	stopped bool
+	procErr error // first process failure, reported by Run
 }
 
 // NewKernel constructs a kernel with the given options.
 func NewKernel(opts ...Option) *Kernel {
-	k := &Kernel{
-		rng:   rand.New(rand.NewSource(1)),
-		yield: make(chan struct{}),
-	}
+	k := &Kernel{rng: rand.New(rand.NewSource(1))}
 	for _, opt := range opts {
 		opt(k)
 	}
@@ -259,14 +251,14 @@ func (k *Kernel) Every(period time.Duration, fn func()) *Timer {
 func (k *Kernel) Stop() { k.stopped = true }
 
 // Run executes events in time order until the queue drains, Stop is called,
-// or a process panics. It then unwinds every still-blocked process goroutine
+// or a process panics. It then unwinds every still-blocked process coroutine
 // so that no goroutines leak. Run returns the first process error, ErrStopped
 // if stopped, or nil on a clean drain.
 func (k *Kernel) Run() error { return k.RunUntil(Time(1<<62 - 1)) }
 
 // RunUntil is Run bounded by an end time: events strictly after end are left
 // unexecuted and simulated time is advanced to end (unless the queue drained
-// earlier). Like Run, it is terminal for process goroutines: any process
+// earlier). Like Run, it is terminal for process coroutines: any process
 // still blocked when the bound is reached is unwound so no goroutines leak;
 // only pure callback events survive into a later Run/RunUntil call.
 //
@@ -347,8 +339,13 @@ func (k *Kernel) RunUntil(end Time) error {
 	}
 }
 
-// resume transfers control to p and blocks until p yields it back. A doomed
-// process (see Kill) is resumed with a kill signal regardless of sig.
+// resume transfers control to p and returns when p yields it back: it
+// stores sig on the process and switches to the process's coroutine, which
+// runs until its next blocking primitive (or its end) switches back. A
+// doomed process (see Kill) is resumed with a kill signal regardless of sig.
+//
+//lint:hotpath
+//lint:allocbudget 0 a coroutine switch is a direct runtime handoff; every process resume runs through here
 func (k *Kernel) resume(p *Proc, sig signal) {
 	if p.finished {
 		return
@@ -358,11 +355,11 @@ func (k *Kernel) resume(p *Proc, sig signal) {
 	}
 	// The tenant register follows control: everything the process does —
 	// including telemetry emitted from inside its blocking primitives — is
-	// attributed to its tenant. The kernel goroutine blocks on yield while
-	// the process runs, so the handoff is race-free.
+	// attributed to its tenant. The kernel goroutine is suspended inside
+	// next while the process runs, so the handoff is race-free.
 	k.tenant = p.tenant
-	p.resume <- sig
-	<-k.yield
+	p.sig = sig
+	p.next()
 	k.tenant = 0
 }
 
@@ -374,7 +371,7 @@ func (k *Kernel) resume(p *Proc, sig signal) {
 // called from scheduler context (a timer callback or another process), never
 // from p itself. Killing a finished process is a no-op.
 func (k *Kernel) Kill(p *Proc) {
-	if p == nil || p.finished || p.doomed || !p.started {
+	if p == nil || p.finished || p.doomed {
 		return
 	}
 	p.doomed = true
@@ -384,18 +381,17 @@ func (k *Kernel) Kill(p *Proc) {
 	k.schedule(k.now, nil, p)
 }
 
-// killAll unwinds every live process goroutine by resuming it with a kill
+// killAll unwinds every live process coroutine by resuming it with a kill
 // signal, which panics errKilled inside the blocking primitive; the process
-// wrapper recovers it and hands control back. This guarantees Run leaves no
-// goroutines behind, per the "never start a goroutine you cannot stop" rule.
+// wrapper recovers it and returns, ending the coroutine. A process that never
+// ran starts with the kill signal and skips its body. This guarantees Run
+// leaves no goroutines behind, per the "never start a goroutine you cannot
+// stop" rule.
 func (k *Kernel) killAll() {
 	for _, p := range k.procs {
-		if !p.finished && p.started {
-			k.resume(p, signalKill)
-		}
+		k.resume(p, signalKill)
 	}
 	k.procs = k.procs[:0]
-	k.liveProc = 0
 }
 
 // failProc records a process failure; the first failure aborts Run.

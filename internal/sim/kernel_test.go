@@ -269,15 +269,15 @@ func TestProcessPanicReported(t *testing.T) {
 func TestBlockedProcessesUnwoundAtEnd(t *testing.T) {
 	k := NewKernel()
 	m := NewMailbox(k, "never")
-	k.Spawn("waiter", func(p *Proc) {
+	w := k.Spawn("waiter", func(p *Proc) {
 		m.Recv(p) // never satisfied
 		t.Error("waiter returned from Recv")
 	})
 	if err := k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if k.liveProc != 0 {
-		t.Errorf("liveProc = %d after Run, want 0 (goroutine leak)", k.liveProc)
+	if !w.finished {
+		t.Error("waiter not unwound after Run (goroutine leak)")
 	}
 }
 

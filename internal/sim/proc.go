@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"iter"
 	"time"
 
 	"wadc/internal/obs"
@@ -15,15 +16,22 @@ const (
 	signalKill               // the simulation is over, unwind
 )
 
-// Proc is a simulated process: a goroutine whose execution is interleaved,
-// one at a time, by the kernel. Inside a process function, the blocking
-// primitives (Hold, Mailbox.Recv, Resource.Acquire, Condition.Wait) advance
-// simulated time; all other code runs instantaneously in simulation terms.
+// Proc is a simulated process: a runtime coroutine whose execution is
+// interleaved, one at a time, by the kernel. Inside a process function, the
+// blocking primitives (Hold, Mailbox.Recv, Resource.Acquire, Condition.Wait)
+// advance simulated time; all other code runs instantaneously in simulation
+// terms.
 type Proc struct {
-	k        *Kernel
-	name     string
-	resume   chan signal
-	started  bool
+	k    *Kernel
+	name string
+	// next switches from the kernel into the process's coroutine and returns
+	// when the process blocks or ends; yield, saved by the coroutine when it
+	// first runs, switches back. Each is only ever called from its own side.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	// sig is what the process reads when it resumes: stored by
+	// Kernel.resume before it calls next.
+	sig      signal
 	finished bool
 	// tenant is the tenant tag stamped onto every event emitted while this
 	// process executes. Inherited from the spawner's context (Spawn copies
@@ -46,15 +54,19 @@ type Proc struct {
 
 // Spawn creates a process running fn and schedules it to start at the current
 // simulated time. The name appears in traces and error messages.
+//
+// The process body runs as a runtime coroutine (iter.Pull): Kernel.resume
+// switches into it and Proc.block switches back, directly, without a trip
+// through the Go scheduler's run queue. The coroutine's goroutine exits
+// when the body returns or is unwound by a kill.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan signal), started: true, tenant: k.tenant}
+	p := &Proc{k: k, name: name, tenant: k.tenant}
 	k.procs = append(k.procs, p)
-	k.liveProc++
-	go func() {
-		sig := <-p.resume
-		if sig != signalKill {
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		if p.sig != signalKill {
 			if k.obs != nil && k.obs.LabelsEnabled() {
-				// Tag the goroutine's CPU-profile samples with the
+				// Tag the coroutine's CPU-profile samples with the
 				// process's home subsystem and tenant. First resume runs
 				// after SetSubsystem/SetTenant calls made at spawn time,
 				// so the tags are already in place.
@@ -70,9 +82,7 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 			}()
 		}
 		p.finished = true
-		k.liveProc--
-		k.yield <- struct{}{}
-	}()
+	})
 	k.schedule(k.now, nil, p)
 	return p
 }
@@ -130,11 +140,15 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current simulated time (convenience for p.Kernel().Now()).
 func (p *Proc) Now() Time { return p.k.now }
 
-// block yields control to the scheduler and waits to be resumed. A kill
-// signal unwinds the process via a sentinel panic recovered in Spawn.
+// block yields control to the scheduler and returns when the kernel resumes
+// the process, reading the signal resume stored. A kill signal unwinds the
+// process via a sentinel panic recovered in Spawn.
+//
+//lint:hotpath
+//lint:allocbudget 0 a coroutine switch is a direct runtime handoff; every blocking primitive runs through here
 func (p *Proc) block() {
-	p.k.yield <- struct{}{}
-	if sig := <-p.resume; sig == signalKill {
+	p.yield(struct{}{})
+	if p.sig == signalKill {
 		panic(errKilled)
 	}
 }

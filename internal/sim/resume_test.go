@@ -109,7 +109,7 @@ func TestRunUntilUnwindsProcesses(t *testing.T) {
 	k := NewKernel()
 	m := NewMailbox(k, "mb")
 	var got any
-	k.Spawn("recv", func(p *Proc) { got = m.Recv(p) })
+	recv := k.Spawn("recv", func(p *Proc) { got = m.Recv(p) })
 	k.After(10*time.Second, func() { m.Send("late", PriorityData) })
 	if err := k.RunUntil(Second); err != nil {
 		t.Fatal(err)
@@ -117,8 +117,8 @@ func TestRunUntilUnwindsProcesses(t *testing.T) {
 	if got != nil {
 		t.Fatal("received early")
 	}
-	if k.liveProc != 0 {
-		t.Errorf("liveProc = %d after RunUntil, want 0", k.liveProc)
+	if !recv.finished {
+		t.Error("receiver not unwound after RunUntil")
 	}
 	// The message still gets sent by the surviving callback, but the
 	// receiver is gone: it queues in the mailbox.

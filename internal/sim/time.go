@@ -1,14 +1,14 @@
 // Package sim implements a deterministic discrete-event simulation kernel
-// in the style of CSIM: simulated processes are goroutines that run one at
-// a time under the control of a central event scheduler, communicate through
-// priority mailboxes, and contend for capacity-one resources.
+// in the style of CSIM: simulated processes are runtime coroutines that run
+// one at a time under the control of a central event scheduler, communicate
+// through priority mailboxes, and contend for capacity-one resources.
 //
 // The kernel is the substrate on which the wide-area data-combination study
 // (Ranganathan, Acharya, Saltz; ICDCS 1998) is reproduced: hosts, NICs, disks
 // and operators are all sim processes. Determinism is guaranteed by running
-// exactly one goroutine at a time, breaking event-time ties by insertion
-// sequence, and sourcing all randomness from a seeded generator owned by the
-// kernel.
+// exactly one process or callback at a time, breaking event-time ties by
+// insertion sequence, and sourcing all randomness from a seeded generator
+// owned by the kernel.
 package sim
 
 import (
