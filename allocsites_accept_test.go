@@ -8,6 +8,7 @@ import (
 	"wadc/internal/core"
 	"wadc/internal/experiment"
 	"wadc/internal/lint"
+	"wadc/internal/obs"
 	"wadc/internal/placement"
 	"wadc/internal/trace"
 	"wadc/internal/workload"
@@ -25,6 +26,7 @@ import (
 func TestAllocObservabilityAcceptance(t *testing.T) {
 	pool := trace.NewStudyPool(1)
 	assignment := experiment.GenerateAssignments(pool, 1, 8, 1)[0]
+	capture := obs.StartAllocCapture()
 	res, err := core.Run(core.RunConfig{
 		Seed: 1, NumServers: 8, Shape: core.CompleteBinaryTree,
 		Links:  assignment.LinkFn(),
@@ -32,14 +34,10 @@ func TestAllocObservabilityAcceptance(t *testing.T) {
 		Workload: workload.Config{
 			ImagesPerServer: 20, MeanBytes: 128 * 1024, SpreadFrac: 0.25,
 		},
-		TrackAllocs: true,
 	})
+	rep := capture.Finish(int64(len(res.Arrivals)))
 	if err != nil {
 		t.Fatal(err)
-	}
-	rep := res.AllocSites
-	if rep == nil {
-		t.Fatal("TrackAllocs set but AllocSites is nil")
 	}
 	if cov := rep.Coverage(); cov < 0.95 {
 		t.Errorf("coverage = %.3f, want >= 0.95 of allocations attributed", cov)

@@ -114,17 +114,23 @@ func main() {
 	pool := trace.NewStudyPool(*seed)
 	assignment := experiment.GenerateAssignments(pool, *config+1, *servers, *seed)[*config]
 
-	// The timeline and event log want only model-level events; the recorder
-	// is attached lazily so a plain run carries no telemetry at all.
+	// The timeline and event log want only model-level events, the metrics
+	// CSV a collector; both are attached lazily so a plain run carries no
+	// telemetry at all.
 	var rec *telemetry.Recorder
-	var sink telemetry.Sink
+	var col *telemetry.Collector
+	var sinks []telemetry.Sink
 	if *traceOut != "" || *eventsOut != "" {
 		rec = &telemetry.Recorder{}
-		sink = telemetry.ModelOnly(rec)
+		sinks = append(sinks, telemetry.ModelOnly(rec))
 	}
-	if *estimates && sink == nil {
+	if *estimates && rec == nil {
 		fmt.Fprintln(os.Stderr, "combine: -estimates needs a telemetry destination (-events-out or -trace-out)")
 		os.Exit(2)
+	}
+	if *metricsOut != "" {
+		col = telemetry.NewCollector()
+		sinks = append(sinks, col)
 	}
 
 	// Host-process performance instrumentation: one recorder feeds the
@@ -141,39 +147,51 @@ func main() {
 	}
 	stopProfiles := startProfiles(*cpuProfile, *memProfile)
 
-	if *tenants > 1 {
-		runMultiTenant(multiOpts{
-			tenants: *tenants, arrivalRate: *arrivalRate,
-			servers: *servers, alg: *alg, shape: *shape,
-			period: *period, iters: *iters, seed: *seed, config: *config,
-			verbose: *verbose,
-			links:   assignment.LinkFn(),
-			sink:    sink, rec: rec, estimates: *estimates,
-			traceOut: *traceOut, eventsOut: *eventsOut, metricsOut: *metricsOut,
-			perf: *perf, perfOut: *perfOut, perfRec: perfRec,
-			heartbeat: heartbeat, stopProfiles: stopProfiles,
-			allocs: *allocs, allocsOut: *allocsOut,
-		})
-		return
+	runSeed := *seed*7919 + int64(*config)
+	wl := workload.Config{
+		ImagesPerServer: *iters,
+		MeanBytes:       workload.DefaultMeanBytes,
+		SpreadFrac:      workload.DefaultSpreadFrac,
 	}
-
-	res, err := core.Run(core.RunConfig{
-		Seed:       *seed*7919 + int64(*config),
-		NumServers: *servers,
-		Shape:      treeShape,
-		Links:      assignment.LinkFn(),
-		Policy:     policy,
-		Workload: workload.Config{
-			ImagesPerServer: *iters,
-			MeanBytes:       workload.DefaultMeanBytes,
-			SpreadFrac:      workload.DefaultSpreadFrac,
-		},
-		Telemetry:      sink,
-		CollectMetrics: *metricsOut != "",
-		TrackEstimates: *estimates,
-		TrackAllocs:    *allocs || *allocsOut != "",
-		Perf:           perfRec,
-	})
+	observe := core.Observe{Telemetry: telemetry.Multi(sinks...), Perf: perfRec, Estimates: *estimates}
+	// The alloc capture brackets the whole run, so a hot site anywhere in
+	// the simulation is attributed; a run without it never arms the profiler.
+	var capture *obs.AllocCapture
+	if *allocs || *allocsOut != "" {
+		capture = obs.StartAllocCapture()
+	}
+	var report func()
+	var perfRep *obs.Report
+	var delivered int64
+	if *tenants > 1 {
+		specs := tenant.Population(tenant.PopulationConfig{
+			N: *tenants, ArrivalRate: *arrivalRate, Seed: runSeed,
+			NumServers: *servers, Iterations: *iters, Algorithms: []string{*alg},
+		})
+		for i := range specs {
+			specs[i].Shape = *shape
+		}
+		var res core.MultiResult
+		res, err = core.RunMulti(core.MultiConfig{
+			Seed: runSeed, NumServers: *servers, Links: assignment.LinkFn(),
+			Tenants: specs, Workload: wl, Period: *period, Observe: observe,
+		})
+		for _, t := range res.Tenants {
+			delivered += int64(t.Delivered)
+		}
+		perfRep = res.Perf
+		report = func() { printMulti(&res, *tenants, *alg, *arrivalRate, *servers, *verbose) }
+	} else {
+		var res core.RunResult
+		res, err = core.Run(core.RunConfig{
+			Seed: runSeed, NumServers: *servers, Shape: treeShape,
+			Links: assignment.LinkFn(), Policy: policy, Workload: wl, Observe: observe,
+		})
+		delivered = int64(len(res.Arrivals))
+		perfRep = res.Perf
+		report = func() { printRun(&res, *servers, treeShape, *verbose) }
+	}
+	allocRep := capture.Finish(delivered)
 	stopProfiles()
 	if heartbeat != nil {
 		heartbeat.Stop()
@@ -183,39 +201,38 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Host i is server i; the last host is the client (core.Run's layout).
+	// Host i is server i; the last host is the client (the shared layout).
 	hostNames := make([]string, *servers+1)
 	for i := 0; i < *servers; i++ {
 		hostNames[i] = fmt.Sprintf("s%d", i)
 	}
 	hostNames[*servers] = "client"
-	if *traceOut != "" {
-		if err := writeFile(*traceOut, func(f *os.File) error {
-			return telemetry.WritePerfetto(f, rec.Events(), hostNames)
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "combine: %v\n", err)
-			os.Exit(1)
+	for _, out := range []struct {
+		path string
+		emit func(*os.File) error
+	}{
+		{*traceOut, func(f *os.File) error { return telemetry.WritePerfetto(f, rec.Events(), hostNames) }},
+		{*eventsOut, func(f *os.File) error { return telemetry.WriteJSONL(f, rec.Events()) }},
+		{*metricsOut, func(f *os.File) error { return telemetry.WriteMetricsCSV(f, col.Snapshot()) }},
+	} {
+		if out.path == "" {
+			continue
 		}
-	}
-	if *eventsOut != "" {
-		if err := writeFile(*eventsOut, func(f *os.File) error {
-			return telemetry.WriteJSONL(f, rec.Events())
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "combine: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *metricsOut != "" {
-		if err := writeFile(*metricsOut, func(f *os.File) error {
-			return telemetry.WriteMetricsCSV(f, res.Metrics)
-		}); err != nil {
+		if err := writeFile(out.path, out.emit); err != nil {
 			fmt.Fprintf(os.Stderr, "combine: %v\n", err)
 			os.Exit(1)
 		}
 	}
 
+	report()
+	emitPerfReport(perfRep, *perf, *perfOut)
+	emitAllocReport(allocRep, *allocs, *allocsOut)
+}
+
+// printRun prints a single run's outcome.
+func printRun(res *core.RunResult, servers int, shape core.TreeShape, verbose bool) {
 	fmt.Printf("algorithm:          %s\n", res.Algorithm)
-	fmt.Printf("servers:            %d (%s tree)\n", *servers, treeShape)
+	fmt.Printf("servers:            %d (%s tree)\n", servers, shape)
 	fmt.Printf("images delivered:   %d\n", len(res.Arrivals))
 	fmt.Printf("completion time:    %.1fs\n", res.Completion.Seconds())
 	fmt.Printf("mean interarrival:  %.1fs/image\n", res.MeanInterarrival.Seconds())
@@ -225,13 +242,10 @@ func main() {
 			res.Decisions.Decisions, res.Decisions.Candidates,
 			res.Decisions.Moves, res.Decisions.PredictedGain)
 	}
-	fmt.Printf("monitoring:         %d probes, %d passive measurements, %.0f%% cache hits\n",
-		res.Probes, res.PassiveMeasurements, res.CacheHitRate*100)
-	fmt.Printf("network:            %d transfers, %.1f MB moved\n",
-		res.NetworkTransfers, float64(res.BytesMoved)/(1<<20))
+	printLoad(&res.Shared)
 	fmt.Printf("initial placement:  %s\n", res.InitialPlacement)
 	fmt.Printf("final placement:    %s\n", res.FinalPlacement)
-	if *verbose {
+	if verbose {
 		fmt.Println("\nmove log:")
 		for _, mv := range res.MoveLog {
 			kind := "local"
@@ -246,100 +260,11 @@ func main() {
 			fmt.Printf("  image %3d at %9.1fs\n", i, at.Seconds())
 		}
 	}
-	emitPerfReport(res.Perf, *perf, *perfOut)
-	emitAllocReport(res.AllocSites, *allocs, *allocsOut)
 }
 
-// multiOpts carries the flag set into multi-tenant mode.
-type multiOpts struct {
-	tenants     int
-	arrivalRate float64
-	servers     int
-	alg, shape  string
-	period      time.Duration
-	iters       int
-	seed        int64
-	config      int
-	verbose     bool
-	links       core.LinkFn
-	sink        telemetry.Sink
-	rec         *telemetry.Recorder
-	estimates   bool
-	traceOut    string
-	eventsOut   string
-	metricsOut  string
-
-	perf         bool
-	perfOut      string
-	perfRec      *obs.Recorder
-	heartbeat    *obs.Progress
-	stopProfiles func()
-	allocs       bool
-	allocsOut    string
-}
-
-// runMultiTenant runs N concurrent query trees on the shared network and
-// prints per-tenant outcomes plus the cross-tenant fairness statistics.
-func runMultiTenant(o multiOpts) {
-	specs := tenant.Population(tenant.PopulationConfig{
-		N:           o.tenants,
-		ArrivalRate: o.arrivalRate,
-		Seed:        o.seed*7919 + int64(o.config),
-		NumServers:  o.servers,
-		Iterations:  o.iters,
-		Algorithms:  []string{o.alg},
-	})
-	for i := range specs {
-		specs[i].Shape = o.shape
-	}
-	res, err := core.RunMulti(core.MultiConfig{
-		Seed:       o.seed*7919 + int64(o.config),
-		NumServers: o.servers,
-		Links:      o.links,
-		Tenants:    specs,
-		Workload: workload.Config{
-			ImagesPerServer: o.iters,
-			MeanBytes:       workload.DefaultMeanBytes,
-			SpreadFrac:      workload.DefaultSpreadFrac,
-		},
-		Period:         o.period,
-		Telemetry:      o.sink,
-		CollectMetrics: o.metricsOut != "",
-		TrackEstimates: o.estimates,
-		TrackAllocs:    o.allocs || o.allocsOut != "",
-		Perf:           o.perfRec,
-	})
-	o.stopProfiles()
-	if o.heartbeat != nil {
-		o.heartbeat.Stop()
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "combine: %v\n", err)
-		os.Exit(1)
-	}
-
-	hostNames := make([]string, o.servers+1)
-	for i := 0; i < o.servers; i++ {
-		hostNames[i] = fmt.Sprintf("s%d", i)
-	}
-	hostNames[o.servers] = "client"
-	for _, out := range []struct {
-		path string
-		emit func(*os.File) error
-	}{
-		{o.traceOut, func(f *os.File) error { return telemetry.WritePerfetto(f, o.rec.Events(), hostNames) }},
-		{o.eventsOut, func(f *os.File) error { return telemetry.WriteJSONL(f, o.rec.Events()) }},
-		{o.metricsOut, func(f *os.File) error { return telemetry.WriteMetricsCSV(f, res.Metrics) }},
-	} {
-		if out.path == "" {
-			continue
-		}
-		if err := writeFile(out.path, out.emit); err != nil {
-			fmt.Fprintf(os.Stderr, "combine: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
+// printMulti prints per-tenant outcomes plus the cross-tenant fairness
+// statistics of a multi-tenant run.
+func printMulti(res *core.MultiResult, tenants int, alg string, arrivalRate float64, servers int, verbose bool) {
 	var latencies, throughputs []float64
 	for _, tr := range res.Tenants {
 		if tr.Completed && tr.Delivered > 0 {
@@ -349,14 +274,13 @@ func runMultiTenant(o multiOpts) {
 			throughputs = append(throughputs, tr.Throughput*3600)
 		}
 	}
-	fmt.Printf("tenants:            %d (%s, %.2f arrivals/s)\n", o.tenants, o.alg, o.arrivalRate)
-	fmt.Printf("servers:            %d shared hosts\n", o.servers)
+	fmt.Printf("tenants:            %d (%s, %.2f arrivals/s)\n", tenants, alg, arrivalRate)
+	fmt.Printf("servers:            %d shared hosts\n", servers)
 	fmt.Printf("completed/aborted:  %d / %d\n", res.Completed, res.Aborted)
 	fmt.Printf("jain fairness:      %.4f (iteration throughput)\n", res.JainFairness)
 	fmt.Printf("mean latency:       %s\n", metrics.Summarize(latencies))
 	fmt.Printf("throughput:         %s (iters/hour)\n", metrics.Summarize(throughputs))
-	fmt.Printf("network:            %d transfers, %.1f MB moved\n",
-		res.NetworkTransfers, float64(res.BytesMoved)/(1<<20))
+	printLoad(&res.Shared)
 
 	// The busiest contended links: where tenants actually collide.
 	contended := 0
@@ -368,7 +292,7 @@ func runMultiTenant(o multiOpts) {
 	fmt.Printf("contention:         %d of %d (link, tenant) shares on shared links\n",
 		contended, len(res.LinkShares))
 
-	if o.verbose {
+	if verbose {
 		fmt.Println("\nper-tenant outcomes:")
 		tbl := metrics.NewTable("id", "alg", "arrive-s", "depart-s", "iters", "latency-s", "tput/s", "status")
 		for _, tr := range res.Tenants {
@@ -389,8 +313,14 @@ func runMultiTenant(o multiOpts) {
 		}
 		fmt.Print(ttbl)
 	}
-	emitPerfReport(res.Perf, o.perf, o.perfOut)
-	emitAllocReport(res.AllocSites, o.allocs, o.allocsOut)
+}
+
+// printLoad prints the monitoring and network lines both modes share.
+func printLoad(s *core.Shared) {
+	fmt.Printf("monitoring:         %d probes, %d passive measurements, %.0f%% cache hits\n",
+		s.Probes, s.PassiveMeasurements, s.CacheHitRate*100)
+	fmt.Printf("network:            %d transfers, %.1f MB moved\n",
+		s.NetworkTransfers, float64(s.BytesMoved)/(1<<20))
 }
 
 // emitPerfReport prints and/or writes the host-process performance report;

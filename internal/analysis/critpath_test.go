@@ -158,9 +158,9 @@ func critRun(t *testing.T, p placement.Policy, seed int64, fc faults.Config) []t
 	_, err := core.Run(core.RunConfig{
 		Seed: seed, NumServers: 4, Shape: core.CompleteBinaryTree,
 		Links: linkAt, Policy: p,
-		Workload:  workload.Config{ImagesPerServer: 40, MeanBytes: 128 * 1024, SpreadFrac: 0.25},
-		Faults:    fc,
-		Telemetry: telemetry.ModelOnly(rec),
+		Workload: workload.Config{ImagesPerServer: 40, MeanBytes: 128 * 1024, SpreadFrac: 0.25},
+		Faults:   fc,
+		Observe:  core.Observe{Telemetry: telemetry.ModelOnly(rec)},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,12 +6,12 @@
 // A run reproduces one cell of the paper's evaluation: one network
 // configuration (an assignment of bandwidth traces to the links of the
 // complete graph over servers + client), one combination order, and one
-// placement algorithm.
+// placement algorithm. It is the one-tenant case of a multi-tenant run:
+// Run and RunMulti share one assembly path.
 package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"wadc/internal/dataflow"
 	"wadc/internal/estacc"
@@ -21,8 +21,8 @@ import (
 	"wadc/internal/obs"
 	"wadc/internal/placement"
 	"wadc/internal/plan"
-	"wadc/internal/sim"
 	"wadc/internal/telemetry"
+	"wadc/internal/tenant"
 	"wadc/internal/trace"
 	"wadc/internal/workload"
 )
@@ -67,6 +67,31 @@ func (s TreeShape) Build(n int) *plan.Tree {
 // LinkFn supplies the bandwidth trace for each (undirected) host pair.
 type LinkFn func(a, b netmodel.HostID) *trace.Trace
 
+// Observe selects a run's observers; the zero value attaches none. Every
+// observer is purely observational: a run with any of them attached
+// simulates exactly what the same run without them does. Allocation
+// profiling brackets a call from the outside instead: wrap Run or RunMulti
+// in obs.StartAllocCapture and Finish.
+type Observe struct {
+	// Telemetry receives every structured simulation event (kernel
+	// scheduling, transfers, demands, relocations, barriers, faults), each
+	// tagged with the tenant of the process that emitted it. Pass a
+	// *telemetry.Collector here (alone or through telemetry.Multi) to derive
+	// metrics, and snapshot it after the run.
+	Telemetry telemetry.Sink
+	// Perf attaches a host-process performance recorder: the kernel
+	// attributes wall time per subsystem, counts events and transfers, and
+	// pprof-labels process coroutines. The run finalizes it into the
+	// result's Perf.
+	Perf *obs.Recorder
+	// Estimates attaches one estimator-accuracy tracker, shared by all
+	// tenants: every bandwidth estimate a placement decision consumes is
+	// joined to the ground truth the network delivered over the estimate's
+	// validity window and emitted as estimate-used / regime-detected
+	// telemetry. It has no effect without a Telemetry sink.
+	Estimates bool
+}
+
 // RunConfig describes one simulation run.
 type RunConfig struct {
 	// Seed drives all model-level randomness in the run.
@@ -98,46 +123,13 @@ type RunConfig struct {
 	// and the run is byte-identical to one before fault injection existed.
 	// The client host is never crashed.
 	Faults faults.Config
-	// Tracer, when set, receives the kernel's event trace (used by
-	// determinism regression tests; identical seeds must produce identical
-	// traces).
-	Tracer sim.Tracer
-	// Telemetry, when set, receives every structured simulation event
-	// (kernel scheduling, transfers, demands, relocations, barriers, faults).
-	// Sinks are purely observational: a run with telemetry attached is
-	// bit-identical to the same run without it.
-	Telemetry telemetry.Sink
-	// CollectMetrics attaches a telemetry.Collector to the run and snapshots
-	// its registry into RunResult.Metrics.
-	CollectMetrics bool
-	// TrackEstimates attaches the estimator-accuracy tracker: every bandwidth
-	// estimate a placement decision consumes is joined to the ground truth
-	// the network model delivered over the estimate's validity window and
-	// emitted as estimate-used / regime-detected telemetry. Requires a
-	// telemetry sink (Telemetry or CollectMetrics) to have any effect; like
-	// every other observability layer it never perturbs the simulation.
-	TrackEstimates bool
-	// Perf, when set, attaches a host-process performance recorder: the
-	// kernel attributes wall time per subsystem, counts events and
-	// transfers, and pprof-labels process goroutines; Run finalizes the
-	// recorder into RunResult.Perf. Like Telemetry, it is purely
-	// observational — a run with Perf attached produces byte-identical
-	// artifacts to the same run without it.
-	Perf *obs.Recorder
-	// TrackAllocs brackets the run with exhaustive allocation profiling
-	// (runtime.MemProfileRate = 1) and attaches the symbolized alloc-site
-	// table and GC stats as RunResult.AllocSites. Expensive — every heap
-	// allocation is sampled — and strictly observational: the simulated
-	// outcome is byte-identical with it on or off, and a run without it
-	// never touches the profiler.
-	TrackAllocs bool
+	// Observe attaches the run's observers (none by default).
+	Observe
 }
 
-// RunResult is the outcome of one run.
-type RunResult struct {
-	dataflow.Result
-	// Algorithm is the policy name.
-	Algorithm string
+// Shared summarises what a run's tenants share — the monitor, the network,
+// the fault injector and the kernel — and the observers' reports.
+type Shared struct {
 	// Probes and PassiveMeasurements summarise monitoring activity.
 	Probes              int64
 	PassiveMeasurements int64
@@ -145,195 +137,76 @@ type RunResult struct {
 	// NetworkTransfers and BytesMoved summarise network load.
 	NetworkTransfers int64
 	BytesMoved       int64
-	// InitialPlacement and FinalPlacement bracket the run.
-	InitialPlacement *plan.Placement
-	FinalPlacement   *plan.Placement
-	// Fault-injection accounting (all zero when RunConfig.Faults is unset).
+	// Fault-injection accounting (all zero when Faults is unset).
 	FaultPlan          *faults.Plan
 	CrashesFired       int
 	MessagesDropped    int64
 	MessagesDuplicated int64
 	TransfersCut       int64
-	// Metrics is the run's metric snapshot (nil unless
-	// RunConfig.CollectMetrics was set).
-	Metrics *telemetry.Snapshot
-	// Decisions summarises the policy's placement-decision activity
-	// (zero for policies that keep no stats, e.g. download-all and the
-	// stateless one-shot value).
-	Decisions placement.DecisionStats
 	// KernelEvents is the total number of events the kernel scheduled —
 	// the denominator for events/sec throughput, maintained whether or
 	// not a perf recorder is attached.
 	KernelEvents int64
 	// Perf is the finalized host-process performance report (nil unless
-	// RunConfig.Perf was set).
+	// Observe.Perf was set).
 	Perf *obs.Report
-	// AllocSites is the run's attributed allocation profile (nil unless
-	// RunConfig.TrackAllocs was set).
-	AllocSites *obs.AllocReport
 	// Estimator summarises estimator-accuracy tracking (zero unless
-	// RunConfig.TrackEstimates was set with a telemetry sink).
+	// Observe.Estimates was set with a telemetry sink).
 	Estimator estacc.Stats
 }
 
-// Run executes one complete simulation and returns its result.
+// RunResult is the outcome of one run.
+type RunResult struct {
+	dataflow.Result
+	// Algorithm is the policy name.
+	Algorithm string
+	// InitialPlacement and FinalPlacement bracket the run.
+	InitialPlacement *plan.Placement
+	FinalPlacement   *plan.Placement
+	// Decisions summarises the policy's placement-decision activity
+	// (zero for policies that keep no stats, e.g. download-all and the
+	// stateless one-shot value).
+	Decisions placement.DecisionStats
+	Shared
+}
+
+// Run executes one complete simulation and returns its result. The run is
+// tenant 0 of a one-tenant RunMulti: servers on hosts 0..N-1, arriving at
+// time zero, with the legacy unprefixed process and port names.
 func Run(cfg RunConfig) (RunResult, error) {
-	if cfg.NumServers < 2 {
-		return RunResult{}, fmt.Errorf("core: need at least 2 servers, got %d", cfg.NumServers)
+	shared := MultiConfig{
+		Seed: cfg.Seed, NumServers: cfg.NumServers, Links: cfg.Links,
+		Workload: cfg.Workload, Monitor: cfg.Monitor, Faults: cfg.Faults,
+		FlatPriorities: cfg.FlatPriorities, Observe: cfg.Observe,
 	}
-	if cfg.Links == nil {
-		return RunResult{}, fmt.Errorf("core: Links is required")
+	if err := shared.validate(); err != nil {
+		return RunResult{}, err
 	}
 	if cfg.Policy == nil {
 		return RunResult{}, fmt.Errorf("core: Policy is required")
 	}
-
-	// The alloc capture brackets everything the run does — assembly, kernel
-	// loop, result construction — so a hot site anywhere in the cell is
-	// attributed. Armed only on request; a run without it never touches the
-	// profiler.
-	var allocCap *obs.AllocCapture
-	if cfg.TrackAllocs {
-		allocCap = obs.StartAllocCapture()
+	servers, _ := plan.DefaultHostAssignment(cfg.NumServers)
+	solo := &tenantRun{
+		spec: tenant.Spec{
+			Seed: cfg.Seed, NumServers: cfg.NumServers, Iterations: cfg.Iterations,
+			Algorithm: cfg.Policy.Name(), Servers: servers,
+		},
+		shape: cfg.Shape, policy: cfg.Policy, trackTransfers: cfg.TrackTransfers,
 	}
-
-	kOpts := []sim.Option{sim.WithSeed(cfg.Seed)}
-	if cfg.Perf != nil {
-		kOpts = append(kOpts, sim.WithObserver(cfg.Perf))
+	m, err := simulate(shared, []*tenantRun{solo})
+	if err != nil {
+		return RunResult{}, err
 	}
-	if cfg.Tracer != nil {
-		kOpts = append(kOpts, sim.WithTracer(cfg.Tracer))
-	}
-	var collector *telemetry.Collector
-	if cfg.CollectMetrics {
-		collector = telemetry.NewCollector()
-		kOpts = append(kOpts, sim.WithTelemetry(collector))
-	}
-	if cfg.Telemetry != nil {
-		kOpts = append(kOpts, sim.WithTelemetry(cfg.Telemetry))
-	}
-	k := sim.NewKernel(kOpts...)
-	var netOpts []netmodel.NetOption
-	if cfg.FlatPriorities {
-		netOpts = append(netOpts, netmodel.WithFlatPriorities())
-	}
-	net := netmodel.NewNetwork(k, netOpts...)
-	for i := 0; i < cfg.NumServers; i++ {
-		net.AddHost(fmt.Sprintf("s%d", i))
-	}
-	client := net.AddHost("client")
-	for a := 0; a < net.NumHosts(); a++ {
-		for b := a + 1; b < net.NumHosts(); b++ {
-			tr := cfg.Links(netmodel.HostID(a), netmodel.HostID(b))
-			if tr == nil {
-				return RunResult{}, fmt.Errorf("core: no trace for link %d<->%d", a, b)
-			}
-			net.SetLink(netmodel.HostID(a), netmodel.HostID(b), tr)
-		}
-	}
-	mon := monitor.NewSystem(net, cfg.Monitor)
-
-	// Fault injection: generate (or take) the plan, validate it against the
-	// topology — the client host is protected — and install the injector.
-	// Everything is seeded, so a faulty run replays bit-for-bit.
-	var inj *faults.Injector
-	var faultPlan *faults.Plan
-	if cfg.Faults.Enabled() {
-		fcfg := cfg.Faults
-		if fcfg.Seed == 0 {
-			fcfg.Seed = cfg.Seed*1000003 + 17
-		}
-		faultPlan = fcfg.Plan
-		if faultPlan == nil {
-			faultPlan = faults.Generate(fcfg, net.NumHosts(), client.ID())
-		}
-		if err := faultPlan.Validate(net.NumHosts(), client.ID()); err != nil {
-			return RunResult{}, fmt.Errorf("core: invalid fault plan: %w", err)
-		}
-		inj = faults.NewInjector(faultPlan, rand.New(rand.NewSource(fcfg.Seed+1)), fcfg.Retry)
-		net.SetFaults(inj)
-	}
-
-	var tree *plan.Tree
-	if cfg.Shape == GreedyBandwidthTree {
-		// Order the combination with planning-time bandwidth knowledge:
-		// cheapest (fastest) server pairs combine deepest in the tree.
-		tree = plan.GreedyBinary(cfg.NumServers, func(a, b int) float64 {
-			return 1 / float64(net.BandwidthAt(netmodel.HostID(a), netmodel.HostID(b), 0))
-		})
-	} else {
-		tree = cfg.Shape.Build(cfg.NumServers)
-	}
-	serverHosts, _ := plan.DefaultHostAssignment(cfg.NumServers)
-	images := workload.Generate(cfg.Seed, cfg.NumServers, cfg.Workload)
-	if cfg.Perf != nil {
-		// One progress unit per image the client will receive.
-		iters := cfg.Iterations
-		if iters <= 0 && len(images) > 0 {
-			iters = len(images[0])
-		}
-		cfg.Perf.AddWork(int64(iters))
-	}
-	model := plan.DefaultCostModel(workload.MeanBytes(images))
-	inst := placement.NewInstance(net, mon, tree, serverHosts, client.ID(), model)
-	if cfg.TrackEstimates {
-		inst.Acc = estacc.New(net, mon)
-	}
-
-	var eng *dataflow.Engine
-	var initialPl *plan.Placement
-	bootstrap := k.Spawn("bootstrap", func(p *sim.Proc) {
-		initial := cfg.Policy.InitialPlacement(p, inst)
-		initialPl = initial.Clone()
-		eng = dataflow.New(dataflow.Config{
-			Net: net, Mon: mon, Tree: tree,
-			Initial:        initial,
-			Images:         images,
-			Iterations:     cfg.Iterations,
-			TrackTransfers: cfg.TrackTransfers,
-			Faults:         inj,
-		})
-		cfg.Policy.Attach(inst, eng)
-		eng.Start()
-	})
-	// The bootstrap process runs the policy's initial placement; the engine
-	// retags its own processes at spawn.
-	bootstrap.SetSubsystem(obs.SubsysPlacement)
-	if err := k.Run(); err != nil {
-		return RunResult{}, fmt.Errorf("core: simulation failed: %w", err)
-	}
-	if eng == nil || !eng.Completed() {
+	t := m.Tenants[0]
+	if !t.Completed {
 		return RunResult{}, fmt.Errorf("core: run did not complete")
 	}
-	res := RunResult{
-		Result:              eng.Result(),
-		Algorithm:           cfg.Policy.Name(),
-		Probes:              mon.Probes(),
-		PassiveMeasurements: mon.PassiveMeasurements(),
-		CacheHitRate:        mon.CacheHitRate(),
-		NetworkTransfers:    net.Transfers(),
-		BytesMoved:          net.BytesMoved(),
-		InitialPlacement:    initialPl,
-		FinalPlacement:      eng.CurrentPlacement(),
-		KernelEvents:        int64(k.Scheduled()),
-	}
-	if inj != nil {
-		res.FaultPlan = faultPlan
-		res.CrashesFired = inj.CrashesFired()
-		res.MessagesDropped, res.MessagesDuplicated, res.TransfersCut = net.FaultCounts()
-	}
-	if collector != nil {
-		res.Metrics = collector.Snapshot()
-	}
-	if da, ok := cfg.Policy.(placement.DecisionAudited); ok {
-		res.Decisions = da.DecisionStats()
-	}
-	if cfg.Perf != nil {
-		res.Perf = cfg.Perf.Report()
-	}
-	res.Estimator = inst.Acc.Stats()
-	if allocCap != nil {
-		res.AllocSites = allocCap.Finish(int64(len(res.Arrivals)))
-	}
-	return res, nil
+	return RunResult{
+		Result:           t.Result,
+		Algorithm:        cfg.Policy.Name(),
+		InitialPlacement: t.InitialPlacement,
+		FinalPlacement:   t.FinalPlacement,
+		Decisions:        t.Decisions,
+		Shared:           m.Shared,
+	}, nil
 }

@@ -1,31 +1,13 @@
 package core
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 	"time"
 
 	"wadc/internal/estacc"
-	"wadc/internal/faults"
 	"wadc/internal/placement"
 	"wadc/internal/telemetry"
-	"wadc/internal/tenant"
 )
-
-// dropEstimatorEvents removes the estimator-accuracy kinds from a stream, so
-// an estimator-tracked run can be compared event-for-event against the same
-// run without tracking.
-func dropEstimatorEvents(events []telemetry.Event) []telemetry.Event {
-	kept := make([]telemetry.Event, 0, len(events))
-	for _, ev := range events {
-		if ev.Kind == telemetry.KindEstimateUsed || ev.Kind == telemetry.KindRegimeDetected {
-			continue
-		}
-		kept = append(kept, ev)
-	}
-	return kept
-}
 
 // estDigest runs cfg with an in-memory recorder attached and returns the
 // result and the raw event stream.
@@ -40,125 +22,6 @@ func estDigest(t *testing.T, cfg RunConfig) (RunResult, []telemetry.Event) {
 	return res, rec.Events()
 }
 
-func jsonlBytes(t *testing.T, events []telemetry.Event) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := telemetry.WriteJSONL(&buf, events); err != nil {
-		t.Fatalf("WriteJSONL: %v", err)
-	}
-	return buf.Bytes()
-}
-
-// TestEstimatorRunByteIdentical: estimator-accuracy tracking is pure
-// observation — a tracked run must be byte-identical to an untracked
-// same-seed run once the two estimator kinds are filtered out of its log,
-// and the RunResult must agree field-for-field, for all four algorithms,
-// fault-free and faulty. This mirrors the host-perf on/off proof in
-// obs_test.go. (The metrics CSV is deliberately out of scope: the collector
-// counts every emitted event by kind, so it sees the extra telemetry — a
-// derived-artifact difference, not a simulation one.)
-func TestEstimatorRunByteIdentical(t *testing.T) {
-	faulty := faults.Config{
-		Crashes:      1,
-		MeanDowntime: 90 * time.Second,
-		DropProb:     0.05,
-		Horizon:      20 * time.Minute,
-	}
-	for name, mk := range chaosPolicies() {
-		for _, mode := range []struct {
-			label string
-			fc    faults.Config
-		}{
-			{"fault-free", faults.Config{}},
-			{"faulty", faulty},
-		} {
-			t.Run(name+"/"+mode.label, func(t *testing.T) {
-				cfg := RunConfig{
-					Seed: 19, NumServers: 4, Shape: CompleteBinaryTree,
-					Links: constLinks(64 * 1024), Policy: mk(),
-					Workload: smallWorkload(6),
-					Faults:   mode.fc,
-				}
-				resOff, evOff := estDigest(t, cfg)
-				cfg.Policy = mk() // fresh policy: they carry state
-				cfg.TrackEstimates = true
-				resOn, evOn := estDigest(t, cfg)
-
-				if len(evOff) == 0 {
-					t.Fatal("run emitted no telemetry events")
-				}
-				jsonlOff := jsonlBytes(t, evOff)
-				jsonlOn := jsonlBytes(t, dropEstimatorEvents(evOn))
-				if !bytes.Equal(jsonlOff, jsonlOn) {
-					t.Errorf("estimator tracking changed the underlying event log: %d vs %d bytes (first diff at byte %d)",
-						len(jsonlOff), len(jsonlOn), firstDiff(jsonlOff, jsonlOn))
-				}
-				// The results must agree on everything but the estimator
-				// stats themselves.
-				resOn.Estimator = estacc.Stats{}
-				if !reflect.DeepEqual(resOff, resOn) {
-					t.Errorf("estimator tracking changed the run result:\n  off=%+v\n  on=%+v", resOff, resOn)
-				}
-			})
-		}
-	}
-}
-
-// TestEstimatorMultiByteIdentical is the 10-tenant variant: one shared
-// tracker across all tenants must still leave the simulation untouched.
-func TestEstimatorMultiByteIdentical(t *testing.T) {
-	cfg := MultiConfig{
-		Seed: 29, NumServers: 5,
-		Links: constLinks(64 * 1024),
-		Tenants: tenant.Population(tenant.PopulationConfig{
-			N: 10, ArrivalRate: 2, Seed: 29, NumServers: 3, Iterations: 3,
-		}),
-		Workload: smallWorkload(3),
-		Period:   2 * time.Minute,
-	}
-	recOff := telemetry.NewRecorder()
-	cfg.Telemetry = telemetry.ModelOnly(recOff)
-	resOff, err := RunMulti(cfg)
-	if err != nil {
-		t.Fatalf("RunMulti: %v", err)
-	}
-	cfg.TrackEstimates = true
-	rec := telemetry.NewRecorder()
-	cfg.Telemetry = telemetry.ModelOnly(rec)
-	resOn, err := RunMulti(cfg)
-	if err != nil {
-		t.Fatalf("RunMulti: %v", err)
-	}
-
-	jsonlOff := jsonlBytes(t, recOff.Events())
-	if len(jsonlOff) == 0 {
-		t.Fatal("no telemetry captured")
-	}
-	jsonlOn := jsonlBytes(t, dropEstimatorEvents(rec.Events()))
-	if !bytes.Equal(jsonlOff, jsonlOn) {
-		t.Errorf("estimator tracking changed the multi-tenant log: %d vs %d bytes (first diff at byte %d)",
-			len(jsonlOff), len(jsonlOn), firstDiff(jsonlOff, jsonlOn))
-	}
-	if resOff.Completed != resOn.Completed || resOff.KernelEvents != resOn.KernelEvents {
-		t.Errorf("outcomes diverge: completed %d/%d kernel events %d/%d",
-			resOff.Completed, resOn.Completed, resOff.KernelEvents, resOn.KernelEvents)
-	}
-	if resOn.Estimator.Consumed == 0 {
-		t.Error("shared tracker recorded no consumptions across 10 tenants")
-	}
-	// Estimate-used events must carry tenant tags: the shared tracker emits
-	// from within each tenant's decision context.
-	tenants := map[int32]bool{}
-	for _, ev := range rec.Events() {
-		if ev.Kind == telemetry.KindEstimateUsed {
-			tenants[ev.Tenant] = true
-		}
-	}
-	if len(tenants) < 2 {
-		t.Errorf("estimate-used events span %d tenants, want several", len(tenants))
-	}
-}
-
 // TestEstimateUsedExactlyOncePerDecision is the acceptance criterion: in a
 // seeded single-tenant global run, every estimate a placement decision
 // consumed appears exactly once in the estimator stream — one estimate-used
@@ -169,7 +32,8 @@ func TestEstimateUsedExactlyOncePerDecision(t *testing.T) {
 		Seed: 23, NumServers: 4, Shape: CompleteBinaryTree,
 		Links:    constLinks(64 * 1024),
 		Policy:   &placement.Global{Period: 2 * time.Minute},
-		Workload: smallWorkload(8), TrackEstimates: true,
+		Workload: smallWorkload(8),
+		Observe:  Observe{Estimates: true},
 	})
 	type key struct {
 		seq  int64
@@ -211,13 +75,14 @@ func TestEstimateUsedExactlyOncePerDecision(t *testing.T) {
 }
 
 // TestTrackEstimatesWithoutSinkInert: estimator events are pure telemetry,
-// so TrackEstimates without a telemetry destination arms nothing.
+// so Observe.Estimates without a telemetry destination arms nothing.
 func TestTrackEstimatesWithoutSinkInert(t *testing.T) {
 	res := mustRun(t, RunConfig{
 		Seed: 3, NumServers: 4, Shape: CompleteBinaryTree,
 		Links:    constLinks(64 * 1024),
 		Policy:   &placement.Global{Period: 2 * time.Minute},
-		Workload: smallWorkload(4), TrackEstimates: true,
+		Workload: smallWorkload(4),
+		Observe:  Observe{Estimates: true},
 	})
 	if res.Estimator != (estacc.Stats{}) {
 		t.Errorf("tracker armed without a sink: %+v", res.Estimator)

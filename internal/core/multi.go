@@ -45,31 +45,14 @@ type MultiConfig struct {
 	// (package defaults if zero).
 	Period time.Duration
 	// Faults configures shared fault injection. The plan is scheduled once
-	// and its crash/recover windows fan out to every live tenant engine; the
-	// client host is protected, so no tenant loses its client.
+	// and its crash/recover windows fan out to every live tenant engine; an
+	// engine that starts while a host is down learns of that crash as it
+	// starts. The client host is protected, so no tenant loses its client.
 	Faults faults.Config
 	// FlatPriorities disables message-priority queueing network-wide.
 	FlatPriorities bool
-	// Tracer and Telemetry observe the shared kernel; every event carries
-	// the tenant tag of the process that emitted it.
-	Tracer    sim.Tracer
-	Telemetry telemetry.Sink
-	// CollectMetrics snapshots the shared metric registry into the result.
-	CollectMetrics bool
-	// TrackEstimates attaches one shared estimator-accuracy tracker: every
-	// tenant's placement decisions join their consumed estimates to ground
-	// truth (events carry the consuming tenant's tag). Requires a telemetry
-	// sink to have any effect; purely observational.
-	TrackEstimates bool
-	// Perf, when set, attaches a host-process performance recorder to the
-	// shared kernel (see RunConfig.Perf); RunMulti finalizes it into
-	// MultiResult.Perf. Purely observational: artifacts are byte-identical
-	// with or without it.
-	Perf *obs.Recorder
-	// TrackAllocs brackets the run with exhaustive allocation profiling
-	// (see RunConfig.TrackAllocs); RunMulti attaches the attributed site
-	// table as MultiResult.AllocSites.
-	TrackAllocs bool
+	// Observe attaches the run's observers (none by default).
+	Observe
 }
 
 // TenantResult is one tenant's outcome within a multi-tenant run.
@@ -113,41 +96,20 @@ type MultiResult struct {
 	TenantTraffic []netmodel.TenantTraffic
 	// LinkShares is the per-(link, tenant) contention breakdown.
 	LinkShares []netmodel.LinkShare
-	// NetworkTransfers and BytesMoved aggregate the shared network.
-	NetworkTransfers int64
-	BytesMoved       int64
 	// PendingEvents is the kernel queue length after the run drained; zero
 	// proves tenant teardown leaked no timers or wake-ups.
 	PendingEvents int
-	// Fault accounting (zero when MultiConfig.Faults is unset).
-	FaultPlan          *faults.Plan
-	CrashesFired       int
-	MessagesDropped    int64
-	MessagesDuplicated int64
-	TransfersCut       int64
-	// Metrics is the shared metric snapshot (nil unless CollectMetrics).
-	Metrics *telemetry.Snapshot
-	// KernelEvents is the total number of events the shared kernel
-	// scheduled — the events/sec denominator, maintained with or without
-	// a perf recorder.
-	KernelEvents int64
-	// Perf is the finalized host-process performance report (nil unless
-	// MultiConfig.Perf was set).
-	Perf *obs.Report
-	// AllocSites is the run's attributed allocation profile (nil unless
-	// MultiConfig.TrackAllocs was set). Ops counts delivered iterations
-	// across all tenants.
-	AllocSites *obs.AllocReport
-	// Estimator summarises estimator-accuracy tracking across all tenants
-	// (zero unless MultiConfig.TrackEstimates was set with a telemetry sink).
-	Estimator estacc.Stats
+	Shared
 }
 
 // tenantRun is the harness's per-tenant state: everything resolved at setup
 // so the arrival callback cannot fail mid-simulation.
 type tenantRun struct {
-	spec        tenant.Spec
-	policy      placement.Policy
+	spec           tenant.Spec
+	shape          TreeShape
+	policy         placement.Policy
+	trackTransfers bool
+
 	serverHosts []netmodel.HostID
 	tree        *plan.Tree
 	images      [][]workload.Image
@@ -167,17 +129,15 @@ type tenantRun struct {
 // unchanged from Run: the same config replays byte-for-byte, whatever the
 // tenant count.
 func RunMulti(cfg MultiConfig) (MultiResult, error) {
-	if cfg.NumServers < 2 {
-		return MultiResult{}, fmt.Errorf("core: need at least 2 pool servers, got %d", cfg.NumServers)
-	}
-	if cfg.Links == nil {
-		return MultiResult{}, fmt.Errorf("core: Links is required")
+	if err := cfg.validate(); err != nil {
+		return MultiResult{}, err
 	}
 	if len(cfg.Tenants) == 0 {
 		return MultiResult{}, fmt.Errorf("core: no tenants")
 	}
 	seen := make(map[int32]bool, len(cfg.Tenants))
-	for _, sp := range cfg.Tenants {
+	runs := make([]*tenantRun, len(cfg.Tenants))
+	for i, sp := range cfg.Tenants {
 		if err := sp.Validate(); err != nil {
 			return MultiResult{}, fmt.Errorf("core: %w", err)
 		}
@@ -185,30 +145,46 @@ func RunMulti(cfg MultiConfig) (MultiResult, error) {
 			return MultiResult{}, fmt.Errorf("core: duplicate tenant ID %d", sp.ID)
 		}
 		seen[sp.ID] = true
+		shape, err := ParseShape(sp.Shape)
+		if err != nil {
+			return MultiResult{}, err
+		}
+		policy, err := NewPolicy(sp.Algorithm, PolicyOptions{Period: cfg.Period, Seed: sp.Seed})
+		if err != nil {
+			return MultiResult{}, err
+		}
+		runs[i] = &tenantRun{spec: sp, shape: shape, policy: policy}
 	}
+	res, err := simulate(cfg, runs)
+	if err != nil {
+		return MultiResult{}, err
+	}
+	for _, t := range res.Tenants {
+		if !t.Completed && !t.Aborted {
+			return MultiResult{}, fmt.Errorf("core: tenant %d never departed", t.Spec.ID)
+		}
+	}
+	return res, nil
+}
 
-	// See RunConfig.TrackAllocs: bracket everything the run does.
-	var allocCap *obs.AllocCapture
-	if cfg.TrackAllocs {
-		allocCap = obs.StartAllocCapture()
+// validate checks the shared-infrastructure fields.
+func (cfg *MultiConfig) validate() error {
+	if cfg.NumServers < 2 {
+		return fmt.Errorf("core: need at least 2 servers, got %d", cfg.NumServers)
 	}
+	if cfg.Links == nil {
+		return fmt.Errorf("core: Links is required")
+	}
+	return nil
+}
 
-	kOpts := []sim.Option{sim.WithSeed(cfg.Seed)}
-	if cfg.Perf != nil {
-		kOpts = append(kOpts, sim.WithObserver(cfg.Perf))
-	}
-	if cfg.Tracer != nil {
-		kOpts = append(kOpts, sim.WithTracer(cfg.Tracer))
-	}
-	var collector *telemetry.Collector
-	if cfg.CollectMetrics {
-		collector = telemetry.NewCollector()
-		kOpts = append(kOpts, sim.WithTelemetry(collector))
-	}
-	if cfg.Telemetry != nil {
-		kOpts = append(kOpts, sim.WithTelemetry(cfg.Telemetry))
-	}
-	k := sim.NewKernel(kOpts...)
+// simulate is the one assembly path behind Run and RunMulti. It builds the
+// kernel, network, monitor, fault injector and observers, schedules the
+// fault plan once for all engines, instantiates each tenant at its arrival
+// time, runs the kernel to completion and collects the outcome. A tenant
+// that never departed is reported neither completed nor aborted.
+func simulate(cfg MultiConfig, runs []*tenantRun) (MultiResult, error) {
+	k := sim.NewKernel(sim.WithSeed(cfg.Seed), sim.WithObserver(cfg.Perf), sim.WithTelemetry(cfg.Telemetry))
 	var netOpts []netmodel.NetOption
 	if cfg.FlatPriorities {
 		netOpts = append(netOpts, netmodel.WithFlatPriorities())
@@ -229,10 +205,13 @@ func RunMulti(cfg MultiConfig) (MultiResult, error) {
 	}
 	mon := monitor.NewSystem(net, cfg.Monitor)
 	var acc *estacc.Tracker // one shared tracker: per-link regime cursors span tenants
-	if cfg.TrackEstimates {
+	if cfg.Estimates {
 		acc = estacc.New(net, mon)
 	}
 
+	// Fault injection: generate (or take) the plan, validate it against the
+	// topology — the client host is protected — and install the injector.
+	// Everything is seeded, so a faulty run replays bit-for-bit.
 	var inj *faults.Injector
 	var faultPlan *faults.Plan
 	if cfg.Faults.Enabled() {
@@ -251,46 +230,39 @@ func RunMulti(cfg MultiConfig) (MultiResult, error) {
 		net.SetFaults(inj)
 	}
 
-	// Resolve every tenant's topology, tree, workload and policy up front:
-	// arrival callbacks run mid-simulation and must not be able to fail.
-	runs := make([]*tenantRun, len(cfg.Tenants))
-	for i, sp := range cfg.Tenants {
-		tr, err := prepareTenant(sp, cfg, net)
-		if err != nil {
+	// Resolve every tenant's topology, tree and workload up front: arrival
+	// callbacks run mid-simulation and must not be able to fail.
+	var work int64
+	for _, tr := range runs {
+		if err := tr.prepare(cfg, net); err != nil {
 			return MultiResult{}, err
 		}
-		runs[i] = tr
-	}
-	if cfg.Perf != nil {
-		// One progress unit per image any tenant's client will receive.
-		var totalIters int64
-		for _, tr := range runs {
-			if tr.spec.Idle {
-				continue
-			}
+		if !tr.spec.Idle {
 			iters := tr.spec.Iterations
 			if iters <= 0 && len(tr.images) > 0 {
 				iters = len(tr.images[0])
 			}
-			totalIters += int64(iters)
+			work += int64(iters)
 		}
-		cfg.Perf.AddWork(totalIters)
+	}
+	if cfg.Perf != nil {
+		// One progress unit per image any tenant's client will receive.
+		cfg.Perf.AddWork(work)
 	}
 
 	// One injector schedule for the whole run: each crash/recover window fans
-	// out to every engine that has arrived and not yet departed. (Engines are
-	// created with SharedFaults so they do not re-schedule the plan
-	// themselves — N engines replaying every crash N times.)
+	// out to every engine that has started. A departed engine's leftover
+	// processes (idle servers, forwarders) still die with their host.
 	if inj != nil {
 		inj.Schedule(k, func(h netmodel.HostID) {
 			for _, tr := range runs {
-				if tr.eng != nil && !tr.departed {
+				if tr.eng != nil {
 					tr.eng.HostCrashed(h)
 				}
 			}
 		}, func(h netmodel.HostID) {
 			for _, tr := range runs {
-				if tr.eng != nil && !tr.departed {
+				if tr.eng != nil {
 					tr.eng.HostRecovered(h)
 				}
 			}
@@ -300,7 +272,6 @@ func RunMulti(cfg MultiConfig) (MultiResult, error) {
 	// Open-loop arrivals: each tenant joins at its own time, regardless of
 	// how the others are doing.
 	for _, tr := range runs {
-		tr := tr
 		k.At(tr.spec.ArriveAt, func() {
 			launchTenant(k, net, mon, acc, client.ID(), inj, tr)
 		})
@@ -311,29 +282,35 @@ func RunMulti(cfg MultiConfig) (MultiResult, error) {
 	}
 
 	res := MultiResult{
-		Tenants:          make([]TenantResult, len(runs)),
-		NetworkTransfers: net.Transfers(),
-		BytesMoved:       net.BytesMoved(),
-		TenantTraffic:    net.TenantTraffic(),
-		LinkShares:       net.LinkShares(),
-		PendingEvents:    k.Pending(),
-		KernelEvents:     int64(k.Scheduled()),
+		Tenants:       make([]TenantResult, len(runs)),
+		TenantTraffic: net.TenantTraffic(),
+		LinkShares:    net.LinkShares(),
+		PendingEvents: k.Pending(),
+		Shared: Shared{
+			Probes:              mon.Probes(),
+			PassiveMeasurements: mon.PassiveMeasurements(),
+			CacheHitRate:        mon.CacheHitRate(),
+			NetworkTransfers:    net.Transfers(),
+			BytesMoved:          net.BytesMoved(),
+			KernelEvents:        int64(k.Scheduled()),
+			Estimator:           acc.Stats(),
+		},
 	}
 	var throughputs []float64
 	for i, tr := range runs {
-		if tr.eng == nil || !tr.departed {
-			return MultiResult{}, fmt.Errorf("core: tenant %d never departed", tr.spec.ID)
+		t := &res.Tenants[i]
+		t.Spec, t.ArrivedAt, t.InitialPlacement = tr.spec, tr.arrivedAt, tr.initial
+		if da, ok := tr.policy.(placement.DecisionAudited); ok {
+			t.Decisions = da.DecisionStats()
 		}
-		t := TenantResult{
-			Spec:             tr.spec,
-			Completed:        tr.eng.Completed(),
-			Aborted:          tr.eng.Aborted(),
-			ArrivedAt:        tr.arrivedAt,
-			DepartedAt:       tr.departedAt,
-			Residence:        (tr.departedAt - tr.arrivedAt).Duration(),
-			InitialPlacement: tr.initial,
-			FinalPlacement:   tr.eng.CurrentPlacement(),
+		if !tr.departed {
+			continue
 		}
+		t.Completed = tr.eng.Completed()
+		t.Aborted = tr.eng.Aborted()
+		t.DepartedAt = tr.departedAt
+		t.Residence = (tr.departedAt - tr.arrivedAt).Duration()
+		t.FinalPlacement = tr.eng.CurrentPlacement()
 		if t.Completed {
 			t.Result = tr.eng.Result()
 			t.Delivered = len(t.Result.Arrivals)
@@ -347,13 +324,9 @@ func RunMulti(cfg MultiConfig) (MultiResult, error) {
 				t.Throughput = float64(t.Delivered) / secs
 			}
 		}
-		if da, ok := tr.policy.(placement.DecisionAudited); ok {
-			t.Decisions = da.DecisionStats()
-		}
 		if !tr.spec.Idle {
 			throughputs = append(throughputs, t.Throughput)
 		}
-		res.Tenants[i] = t
 	}
 	res.JainFairness = metrics.JainIndex(throughputs)
 	if inj != nil {
@@ -361,70 +334,47 @@ func RunMulti(cfg MultiConfig) (MultiResult, error) {
 		res.CrashesFired = inj.CrashesFired()
 		res.MessagesDropped, res.MessagesDuplicated, res.TransfersCut = net.FaultCounts()
 	}
-	if collector != nil {
-		res.Metrics = collector.Snapshot()
-	}
 	if cfg.Perf != nil {
 		res.Perf = cfg.Perf.Report()
-	}
-	res.Estimator = acc.Stats()
-	if allocCap != nil {
-		var delivered int64
-		for _, t := range res.Tenants {
-			delivered += int64(t.Delivered)
-		}
-		res.AllocSites = allocCap.Finish(delivered)
 	}
 	return res, nil
 }
 
-// prepareTenant resolves one spec against the shared network: server hosts,
-// combination tree, image sequences and a fresh policy instance.
-func prepareTenant(sp tenant.Spec, cfg MultiConfig, net *netmodel.Network) (*tenantRun, error) {
+// prepare resolves the tenant against the shared network: server hosts,
+// combination tree, image sequences and cost model.
+func (tr *tenantRun) prepare(cfg MultiConfig, net *netmodel.Network) error {
+	sp := tr.spec
 	serverHosts, err := sp.ServerHosts(cfg.NumServers)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return fmt.Errorf("core: %w", err)
 	}
-	shape, err := ParseShape(sp.Shape)
-	if err != nil {
-		return nil, err
-	}
-	var tree *plan.Tree
-	if shape == GreedyBandwidthTree {
+	if tr.shape == GreedyBandwidthTree {
 		// Greedy ordering uses planning-time knowledge at the tenant's
-		// arrival instant (the moment it would plan).
-		tree = plan.GreedyBinary(sp.NumServers, func(a, b int) float64 {
+		// arrival instant (the moment it would plan): cheapest (fastest)
+		// server pairs combine deepest in the tree.
+		tr.tree = plan.GreedyBinary(sp.NumServers, func(a, b int) float64 {
 			return 1 / float64(net.BandwidthAt(serverHosts[a], serverHosts[b], sp.ArriveAt))
 		})
 	} else {
-		tree = shape.Build(sp.NumServers)
+		tr.tree = tr.shape.Build(sp.NumServers)
 	}
-	var images [][]workload.Image
 	if sp.Idle {
 		// An idle tenant combines zero partitions: its processes spawn,
 		// observe they have nothing to do, and finish without touching the
 		// network, the disks or any random stream.
-		images = make([][]workload.Image, sp.NumServers)
+		tr.images = make([][]workload.Image, sp.NumServers)
 	} else {
-		images = workload.Generate(sp.Seed, sp.NumServers, cfg.Workload)
+		tr.images = workload.Generate(sp.Seed, sp.NumServers, cfg.Workload)
 	}
-	policy, err := NewPolicy(sp.Algorithm, PolicyOptions{Period: cfg.Period, Seed: sp.Seed})
-	if err != nil {
-		return nil, err
-	}
-	return &tenantRun{
-		spec:        sp,
-		policy:      policy,
-		serverHosts: serverHosts,
-		tree:        tree,
-		images:      images,
-		model:       plan.DefaultCostModel(workload.MeanBytes(images)),
-	}, nil
+	tr.serverHosts = serverHosts
+	tr.model = plan.DefaultCostModel(workload.MeanBytes(tr.images))
+	return nil
 }
 
 // launchTenant instantiates a prepared tenant at the current simulated time:
 // emits the arrival event and spawns its bootstrap process (tagged with the
-// tenant ID so the whole per-tenant process tree inherits the tag).
+// tenant ID so the whole per-tenant process tree inherits the tag). The
+// bootstrap runs the policy's initial placement, then starts the engine.
 func launchTenant(k *sim.Kernel, net *netmodel.Network, mon *monitor.System,
 	acc *estacc.Tracker, clientHost netmodel.HostID, inj *faults.Injector, tr *tenantRun) {
 	sp := tr.spec
@@ -435,24 +385,39 @@ func launchTenant(k *sim.Kernel, net *netmodel.Network, mon *monitor.System,
 			Host: int32(clientHost), Iter: int32(sp.Iterations), Aux: sp.Algorithm,
 		})
 	}
-	bp := k.Spawn(fmt.Sprintf("t%d.bootstrap", sp.ID), func(p *sim.Proc) {
+	name := "bootstrap" // tenant 0 keeps the legacy unprefixed names
+	if sp.ID != 0 {
+		name = fmt.Sprintf("t%d.bootstrap", sp.ID)
+	}
+	bp := k.Spawn(name, func(p *sim.Proc) {
 		inst := placement.NewInstance(net, mon, tr.tree, tr.serverHosts, clientHost, tr.model)
 		inst.Acc = acc
 		initial := tr.policy.InitialPlacement(p, inst)
 		tr.initial = initial.Clone()
 		eng := dataflow.New(dataflow.Config{
 			Net: net, Mon: mon, Tree: tr.tree,
-			Initial:      initial,
-			Images:       tr.images,
-			Iterations:   sp.Iterations,
-			Faults:       inj,
-			SharedFaults: inj != nil,
-			Tenant:       sp.ID,
-			OnComplete:   func() { departTenant(k, tr) },
+			Initial:        initial,
+			Images:         tr.images,
+			Iterations:     sp.Iterations,
+			TrackTransfers: tr.trackTransfers,
+			Faults:         inj,
+			Tenant:         sp.ID,
+			OnComplete:     func() { departTenant(k, tr) },
 		})
 		tr.eng = eng
 		tr.policy.Attach(inst, eng)
 		eng.Start()
+		if inj != nil {
+			// A host that crashed during the initial placement is still
+			// down: tell the engine once its processes are running.
+			k.At(k.Now(), func() {
+				for h := netmodel.HostID(0); int(h) < net.NumHosts(); h++ {
+					if inj.HostDown(h) {
+						eng.HostCrashed(h)
+					}
+				}
+			})
+		}
 	})
 	bp.SetTenant(sp.ID)
 	bp.SetSubsystem(obs.SubsysPlacement)

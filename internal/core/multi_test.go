@@ -9,6 +9,7 @@ import (
 	"wadc/internal/analysis"
 	"wadc/internal/faults"
 	"wadc/internal/netmodel"
+	"wadc/internal/sim"
 	"wadc/internal/telemetry"
 	"wadc/internal/tenant"
 )
@@ -41,19 +42,26 @@ func idleSpecs(n int, firstID int32) []tenant.Spec {
 
 // TestRunMultiIsolation is the isolation property: a tenant surrounded by
 // idle neighbours must observe exactly the run it would have had alone.
-// Per-iteration arrival times, moves/switches, and realized critical-path
-// attribution must all be identical to a solo Run with the same seed — for
-// every placement algorithm, fault-free and faulty.
+// Per-iteration arrival times, moves/switches, re-instantiations and
+// realized critical-path attribution must all be identical to a solo Run
+// with the same seed — for every placement algorithm, fault-free, faulty,
+// and with a crash that lands before the engine starts (during one-shot's
+// initial placement on the funnel network).
 func TestRunMultiIsolation(t *testing.T) {
 	const seed = 21
 	const servers = 4
+	early := sim.Time(36247) * sim.Millisecond
 	for _, alg := range []string{"download-all", "one-shot", "global", "local"} {
 		for _, mode := range []struct {
 			label string
+			links LinkFn
 			fc    faults.Config
 		}{
-			{"fault-free", faults.Config{}},
-			{"faulty", multiFaults()},
+			{"fault-free", constLinks(64 * 1024), faults.Config{}},
+			{"faulty", constLinks(64 * 1024), multiFaults()},
+			{"crash-before-start", funnelLinks(servers), faults.Config{Plan: &faults.Plan{
+				Crashes: []faults.CrashWindow{{Host: 0, At: early, RecoverAt: early + 90*sim.Second}},
+			}}},
 		} {
 			t.Run(alg+"/"+mode.label, func(t *testing.T) {
 				period := 2 * time.Minute
@@ -64,10 +72,10 @@ func TestRunMultiIsolation(t *testing.T) {
 				soloRec := telemetry.NewRecorder()
 				solo, err := Run(RunConfig{
 					Seed: seed, NumServers: servers, Shape: CompleteBinaryTree,
-					Links: constLinks(64 * 1024), Policy: policy,
-					Workload:  smallWorkload(8),
-					Faults:    mode.fc,
-					Telemetry: telemetry.ModelOnly(soloRec),
+					Links: mode.links, Policy: policy,
+					Workload: smallWorkload(8),
+					Faults:   mode.fc,
+					Observe:  Observe{Telemetry: telemetry.ModelOnly(soloRec)},
 				})
 				if err != nil {
 					t.Fatalf("solo Run: %v", err)
@@ -84,12 +92,12 @@ func TestRunMultiIsolation(t *testing.T) {
 				multiRec := telemetry.NewRecorder()
 				multi, err := RunMulti(MultiConfig{
 					Seed: seed, NumServers: servers,
-					Links:     constLinks(64 * 1024),
-					Tenants:   append([]tenant.Spec{active}, idleSpecs(5, 2)...),
-					Workload:  smallWorkload(8),
-					Period:    period,
-					Faults:    mode.fc,
-					Telemetry: telemetry.ModelOnly(multiRec),
+					Links:    mode.links,
+					Tenants:  append([]tenant.Spec{active}, idleSpecs(5, 2)...),
+					Workload: smallWorkload(8),
+					Period:   period,
+					Faults:   mode.fc,
+					Observe:  Observe{Telemetry: telemetry.ModelOnly(multiRec)},
 				})
 				if err != nil {
 					t.Fatalf("RunMulti: %v", err)
@@ -109,9 +117,11 @@ func TestRunMultiIsolation(t *testing.T) {
 					t.Errorf("per-iteration arrivals diverge from solo run:\n  solo=%v\n  multi=%v",
 						solo.Arrivals, at.Result.Arrivals)
 				}
-				if solo.Moves != at.Result.Moves || solo.Switches != at.Result.Switches {
-					t.Errorf("relocation activity diverges: solo %d/%d vs multi %d/%d",
-						solo.Moves, solo.Switches, at.Result.Moves, at.Result.Switches)
+				if solo.Moves != at.Result.Moves || solo.Switches != at.Result.Switches ||
+					solo.Reinstantiations != at.Result.Reinstantiations {
+					t.Errorf("relocation activity diverges: solo %d/%d/%d vs multi %d/%d/%d (moves/switches/re-instantiations)",
+						solo.Moves, solo.Switches, solo.Reinstantiations,
+						at.Result.Moves, at.Result.Switches, at.Result.Reinstantiations)
 				}
 				// Placement.Equal demands the same *Tree pointer; across two
 				// runs only the node→host assignment is comparable.
@@ -154,22 +164,17 @@ func TestRunMultiIsolation(t *testing.T) {
 // attached and renders both artifacts to bytes.
 func multiDigest(t *testing.T, cfg MultiConfig) (MultiResult, []byte, []byte) {
 	t.Helper()
-	rec := telemetry.NewRecorder()
-	cfg.Telemetry = telemetry.ModelOnly(rec)
-	cfg.CollectMetrics = true
+	rec, col := telemetry.NewRecorder(), telemetry.NewCollector()
+	cfg.Telemetry = telemetry.Multi(col, telemetry.ModelOnly(rec))
 	res, err := RunMulti(cfg)
 	if err != nil {
 		t.Fatalf("RunMulti: %v", err)
 	}
-	var jsonl bytes.Buffer
-	if err := telemetry.WriteJSONL(&jsonl, rec.Events()); err != nil {
-		t.Fatalf("WriteJSONL: %v", err)
-	}
 	var csv bytes.Buffer
-	if err := telemetry.WriteMetricsCSV(&csv, res.Metrics); err != nil {
+	if err := telemetry.WriteMetricsCSV(&csv, col.Snapshot()); err != nil {
 		t.Fatalf("WriteMetricsCSV: %v", err)
 	}
-	return res, jsonl.Bytes(), csv.Bytes()
+	return res, jsonlBytes(t, rec.Events()), csv.Bytes()
 }
 
 // TestRunMultiDeterminism: two same-seed 100-tenant runs under faults must

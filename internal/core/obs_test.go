@@ -1,46 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
 	"wadc/internal/obs"
 	"wadc/internal/placement"
-	"wadc/internal/tenant"
 )
-
-// TestObsRunByteIdentical: attaching a host-process perf recorder must not
-// change the simulation in any observable way — same-seed runs with
-// observation on and off must serialize byte-identical JSONL event logs and
-// metrics CSVs, for all four algorithms. This is the dynamic proof that the
-// recorder only ever reads the run.
-func TestObsRunByteIdentical(t *testing.T) {
-	for name, mk := range chaosPolicies() {
-		t.Run(name, func(t *testing.T) {
-			cfg := RunConfig{
-				Seed: 17, NumServers: 4, Shape: CompleteBinaryTree,
-				Links: constLinks(64 * 1024), Policy: mk(),
-				Workload: smallWorkload(6),
-			}
-			jsonlOff, csvOff := runArtifacts(t, cfg)
-			cfg.Policy = mk() // fresh policy: they carry state
-			cfg.Perf = obs.NewRecorder()
-			jsonlOn, csvOn := runArtifacts(t, cfg)
-
-			if len(jsonlOff) == 0 {
-				t.Fatal("run emitted no telemetry events")
-			}
-			if !bytes.Equal(jsonlOff, jsonlOn) {
-				t.Errorf("observation changed the JSONL event log: %d vs %d bytes (first diff at byte %d)",
-					len(jsonlOff), len(jsonlOn), firstDiff(jsonlOff, jsonlOn))
-			}
-			if !bytes.Equal(csvOff, csvOn) {
-				t.Errorf("observation changed the metrics CSV:\n--- off ---\n%s\n--- on ---\n%s", csvOff, csvOn)
-			}
-		})
-	}
-}
 
 // TestObsRunReport checks the report attached to a single-tenant run: shares
 // must sum to ~100% of the measured wall time, throughput counters must be
@@ -53,11 +19,11 @@ func TestObsRunReport(t *testing.T) {
 		Links:    constLinks(64 * 1024),
 		Policy:   &placement.Global{Period: 2 * time.Minute},
 		Workload: smallWorkload(iters),
-		Perf:     rec,
+		Observe:  Observe{Perf: rec},
 	})
 	rep := res.Perf
 	if rep == nil {
-		t.Fatal("RunConfig.Perf set but RunResult.Perf is nil")
+		t.Fatal("Observe.Perf set but RunResult.Perf is nil")
 	}
 	if sum := rep.ShareSum(); sum < 0.95 || sum > 1.001 {
 		t.Errorf("subsystem shares sum to %.3f, want ~1.0", sum)
@@ -87,49 +53,5 @@ func TestObsRunReport(t *testing.T) {
 		if byName[name] <= 0 {
 			t.Errorf("subsystem %s accrued no wall time", name)
 		}
-	}
-}
-
-// TestObsMultiByteIdentical: the 10-tenant variant of the on/off proof, plus
-// report sanity for the shared-kernel path.
-func TestObsMultiByteIdentical(t *testing.T) {
-	cfg := MultiConfig{
-		Seed: 9, NumServers: 5,
-		Links: constLinks(64 * 1024),
-		Tenants: tenant.Population(tenant.PopulationConfig{
-			N: 10, ArrivalRate: 2, Seed: 9, NumServers: 3, Iterations: 3,
-		}),
-		Workload: smallWorkload(3),
-		Period:   2 * time.Minute,
-	}
-	_, jsonlOff, csvOff := multiDigest(t, cfg)
-	cfg.Perf = obs.NewRecorder()
-	res, jsonlOn, csvOn := multiDigest(t, cfg)
-
-	if len(jsonlOff) == 0 {
-		t.Fatal("no telemetry captured")
-	}
-	if !bytes.Equal(jsonlOff, jsonlOn) {
-		t.Errorf("observation changed the multi-tenant JSONL log: %d vs %d bytes",
-			len(jsonlOff), len(jsonlOn))
-	}
-	if !bytes.Equal(csvOff, csvOn) {
-		t.Errorf("observation changed the multi-tenant metrics CSV")
-	}
-	rep := res.Perf
-	if rep == nil {
-		t.Fatal("MultiConfig.Perf set but MultiResult.Perf is nil")
-	}
-	if sum := rep.ShareSum(); sum < 0.95 || sum > 1.001 {
-		t.Errorf("subsystem shares sum to %.3f, want ~1.0", sum)
-	}
-	if res.KernelEvents <= 0 || rep.Events <= 0 {
-		t.Errorf("KernelEvents=%d report events=%d, want > 0", res.KernelEvents, rep.Events)
-	}
-	if rep.WorkTotal != 30 {
-		t.Errorf("WorkTotal=%d, want 30 (10 tenants x 3 iterations)", rep.WorkTotal)
-	}
-	if res.Completed == 10 && rep.WorkDone != 30 {
-		t.Errorf("WorkDone=%d, want 30 with all tenants complete", rep.WorkDone)
 	}
 }

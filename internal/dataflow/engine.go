@@ -69,19 +69,13 @@ type Config struct {
 	TrackTransfers bool
 
 	// Faults, when non-nil, switches the engine into resilient mode: node
-	// processes run fault-tolerant loops with demand-retry timers, crashed
-	// operators are re-instantiated at their consumer, and the injector's
-	// crash windows are scheduled on the kernel. Nil keeps the strict loops,
-	// whose behaviour is byte-identical to an engine built before this field
-	// existed.
+	// processes run fault-tolerant loops with demand-retry timers and
+	// crashed operators are re-instantiated at their consumer. The engine
+	// does not schedule the injector's crash windows itself: whoever
+	// schedules them reports each one through HostCrashed/HostRecovered.
+	// Nil keeps the strict loops, whose behaviour is byte-identical to an
+	// engine built before this field existed.
 	Faults *faults.Injector
-
-	// SharedFaults suppresses Start's injector scheduling: the multi-tenant
-	// harness schedules the shared injector once and fans its crash/recover
-	// windows to every live engine through HostCrashed/HostRecovered. Without
-	// it, N engines sharing one injector would each schedule the same crash
-	// windows, replaying every fault N times.
-	SharedFaults bool
 
 	// Tenant namespaces the engine's mailbox ports and process names and tags
 	// every event its processes emit. Tenant 0 (the default) keeps the legacy
@@ -436,9 +430,6 @@ func (e *Engine) Start() {
 	cn := e.nodes[t.ClientNode()]
 	if e.resilient() {
 		cn.proc = e.spawn("client", func(p *sim.Proc) { cn.resilientClientLoop(p) })
-		if !e.cfg.SharedFaults {
-			e.cfg.Faults.Schedule(e.k, e.onHostCrash, e.onHostRecover)
-		}
 	} else {
 		e.spawn("client", func(p *sim.Proc) { cn.clientLoop(p) })
 	}

@@ -87,25 +87,18 @@ type fetchState struct {
 
 func (e *Engine) resilient() bool { return e.cfg.Faults != nil }
 
-// HostCrashed and HostRecovered expose the injector callbacks so a shared-
-// fault harness (core.RunMulti) can schedule one injector and fan each
-// crash/recover window out to every live engine. Single-tenant runs never
-// call them; Start wires the callbacks directly.
-func (e *Engine) HostCrashed(h netmodel.HostID) { e.onHostCrash(h) }
-
-// HostRecovered is the recovery half of HostCrashed.
-func (e *Engine) HostRecovered(h netmodel.HostID) { e.onHostRecover(h) }
-
 func (e *Engine) hostDown(h netmodel.HostID) bool {
 	return e.cfg.Faults != nil && e.cfg.Faults.HostDown(h)
 }
 
-// onHostCrash is the injector's crash callback (scheduler context): every
-// non-client node process on the host is killed mid-action, its mailbox is
-// purged and its volatile state — held output, buffered messages, barrier
-// bookkeeping — is lost. Forwarders on the host die with it, invalidating
-// their forwarding pointers. The host's vectors are volatile too.
-func (e *Engine) onHostCrash(h netmodel.HostID) {
+// HostCrashed is the injector's crash callback (scheduler context); the run
+// harness (core) schedules the fault plan once and fans each crash out to
+// every engine that has started. Every non-client node process on the host
+// is killed mid-action, its mailbox is purged and its volatile state — held
+// output, buffered messages, barrier bookkeeping — is lost. Forwarders on
+// the host die with it, invalidating their forwarding pointers. The host's
+// vectors are volatile too.
+func (e *Engine) HostCrashed(h netmodel.HostID) {
 	for i := 0; i < e.cfg.Tree.NumNodes(); i++ {
 		n := e.nodes[plan.NodeID(i)]
 		if n.host != h || n.kind == plan.Client {
@@ -175,10 +168,10 @@ func (e *Engine) abort() {
 	}
 }
 
-// onHostRecover restarts the host's data sources (their partitions are on
-// disk). Operators do not come back on their own: their consumers
-// re-instantiate them on demand.
-func (e *Engine) onHostRecover(h netmodel.HostID) {
+// HostRecovered is the recovery half of HostCrashed: it restarts the host's
+// data sources (their partitions are on disk). Operators do not come back
+// on their own: their consumers re-instantiate them on demand.
+func (e *Engine) HostRecovered(h netmodel.HostID) {
 	if e.completed || e.aborted {
 		return
 	}

@@ -130,8 +130,7 @@ func FigureEstimator(o Options) (*FigEstimatorResult, error) {
 					TThres:          j.tthres,
 					PiggybackBudget: j.k * monitor.DefaultEntrySize,
 				},
-				Telemetry:      telemetry.ModelOnly(rec),
-				TrackEstimates: true,
+				Observe: core.Observe{Telemetry: telemetry.ModelOnly(rec), Estimates: true},
 			})
 			if err != nil {
 				errs[i] = fmt.Errorf("estimator cell %s/%v/k=%d: %w", j.regime.Name, j.tthres, j.k, err)

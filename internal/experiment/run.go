@@ -202,21 +202,21 @@ func RunSweep(o Options, shape core.TreeShape, algs []AlgSpec, pool *trace.Pool)
 			a := algs[j.alg]
 			seed := runSeed(o.Seed, j.cfg)
 			var rec *telemetry.Recorder
+			var col *telemetry.Collector
 			var sink telemetry.Sink
 			if o.TelemetryDir != "" {
-				rec = &telemetry.Recorder{}
-				sink = telemetry.ModelOnly(rec)
+				rec, col = &telemetry.Recorder{}, telemetry.NewCollector()
+				sink = telemetry.Multi(col, telemetry.ModelOnly(rec))
 			}
 			res, err := core.Run(core.RunConfig{
-				Seed:           seed,
-				NumServers:     o.Servers,
-				Shape:          shape,
-				Links:          assignments[j.cfg].LinkFn(),
-				Policy:         a.New(o, seed),
-				Workload:       o.workloadConfig(),
-				Faults:         o.Faults,
-				Telemetry:      sink,
-				CollectMetrics: o.TelemetryDir != "",
+				Seed:       seed,
+				NumServers: o.Servers,
+				Shape:      shape,
+				Links:      assignments[j.cfg].LinkFn(),
+				Policy:     a.New(o, seed),
+				Workload:   o.workloadConfig(),
+				Faults:     o.Faults,
+				Observe:    core.Observe{Telemetry: sink},
 			})
 			if err != nil {
 				errs[i] = fmt.Errorf("config %d, %s: %w", j.cfg, a.Name, err)
@@ -227,7 +227,7 @@ func RunSweep(o Options, shape core.TreeShape, algs []AlgSpec, pool *trace.Pool)
 				o.Perf.WorkDone(1)
 			}
 			if o.TelemetryDir != "" {
-				if err := writeCellTelemetry(o.TelemetryDir, j.cfg, a.Name, rec, res.Metrics); err != nil {
+				if err := writeCellTelemetry(o.TelemetryDir, j.cfg, a.Name, rec, col.Snapshot()); err != nil {
 					errs[i] = fmt.Errorf("config %d, %s: %w", j.cfg, a.Name, err)
 					return
 				}

@@ -57,12 +57,6 @@ func BenchmarkSimProcessSwitchTelemetry(b *testing.B) {
 	benchProcessSwitch(b, WithTelemetry(&countSink{}))
 }
 
-// BenchmarkSimProcessSwitchTracer measures the legacy printf adapter, which
-// pays fmt formatting per kernel event on top of the structured stream.
-func BenchmarkSimProcessSwitchTracer(b *testing.B) {
-	benchProcessSwitch(b, WithTracer(func(Time, string, ...any) {}))
-}
-
 // BenchmarkSimProcessSwitchObserved measures the scheduler with a perf
 // recorder attached: per dispatch, one event count (two atomics) and two
 // region-clock switches (a wall-clock read and an atomic add each).

@@ -18,13 +18,6 @@ var ErrStopped = errors.New("sim: stopped")
 // when the kernel shuts down. It never escapes the package.
 var errKilled = errors.New("sim: process killed")
 
-// Tracer receives a line for every significant kernel action when tracing is
-// enabled. It exists for debugging and for determinism tests (identical seeds
-// must produce identical traces). Since the structured telemetry stream was
-// introduced, Tracer is a thin adapter over it: WithTracer installs a sink
-// that formats kernel-level events back into the legacy printf lines.
-type Tracer func(at Time, format string, args ...any)
-
 // Option configures a Kernel.
 type Option func(*Kernel)
 
@@ -34,16 +27,8 @@ func WithSeed(seed int64) Option {
 	return func(k *Kernel) { k.rng = rand.New(rand.NewSource(seed)) }
 }
 
-// WithTracer installs a tracer invoked on every process hold, kill, mailbox
-// send/receive and resource wait/grant. Tracing is off by default. The tracer
-// rides the structured telemetry stream as one more sink, so installing it
-// alongside WithTelemetry changes nothing about either one's output.
-func WithTracer(t Tracer) Option {
-	return func(k *Kernel) { k.AddSink(tracerSink{t}) }
-}
-
-// WithTelemetry installs a structured-event sink. Multiple sinks (including
-// the Tracer adapter) accumulate into a fan-out in installation order.
+// WithTelemetry installs a structured-event sink; a nil sink installs
+// nothing. Multiple sinks accumulate into a fan-out in installation order.
 // Telemetry is off by default, and the disabled path costs zero allocations:
 // every emission site guards on the nil sink before building its event.
 func WithTelemetry(s telemetry.Sink) Option {
@@ -60,30 +45,6 @@ func WithTelemetry(s telemetry.Sink) Option {
 // seeds produce byte-identical artifacts with observation on or off.
 func WithObserver(r *obs.Recorder) Option {
 	return func(k *Kernel) { k.obs = r }
-}
-
-// tracerSink adapts the legacy printf Tracer onto the structured event
-// stream, reproducing the historical trace lines byte-for-byte. Model-level
-// events (which did not exist in the printf era) are ignored, keeping legacy
-// trace digests comparable across telemetry-on and telemetry-off runs.
-type tracerSink struct{ t Tracer }
-
-func (s tracerSink) Emit(ev telemetry.Event) {
-	at := Time(ev.At)
-	switch ev.Kind {
-	case telemetry.KindProcHold:
-		s.t(at, "%s hold %v", ev.Name, time.Duration(ev.Dur))
-	case telemetry.KindProcKilled:
-		s.t(at, "kill %s", ev.Name)
-	case telemetry.KindMailboxSend:
-		s.t(at, "mailbox %s send prio=%v", ev.Name, Priority(ev.Prio))
-	case telemetry.KindMailboxRecv:
-		s.t(at, "mailbox %s recv prio=%v", ev.Name, Priority(ev.Prio))
-	case telemetry.KindResourceWait:
-		s.t(at, "resource %s wait %s prio=%v", ev.Name, ev.Aux, Priority(ev.Prio))
-	case telemetry.KindResourceGrant:
-		s.t(at, "resource %s grant %s", ev.Name, ev.Aux)
-	}
 }
 
 // Kernel is a deterministic discrete-event scheduler. It owns simulated time,
@@ -153,7 +114,7 @@ func (k *Kernel) Scheduled() uint64 { return k.seq }
 func (k *Kernel) Obs() *obs.Recorder { return k.obs }
 
 // AddSink appends a telemetry sink to the kernel's fan-out. Normally sinks
-// are installed via WithTelemetry/WithTracer at construction; AddSink exists
+// are installed via WithTelemetry at construction; AddSink exists
 // so higher layers (e.g. the run harness) can attach sinks after building the
 // kernel but before the simulation starts.
 func (k *Kernel) AddSink(s telemetry.Sink) {

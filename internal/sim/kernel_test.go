@@ -3,9 +3,12 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"wadc/internal/telemetry"
 )
 
 func TestTimeConversions(t *testing.T) {
@@ -296,11 +299,9 @@ func TestSchedulePastPanics(t *testing.T) {
 }
 
 func TestDeterministicTrace(t *testing.T) {
-	run := func() string {
-		var sb strings.Builder
-		k := NewKernel(WithSeed(42), WithTracer(func(at Time, format string, args ...any) {
-			fmt.Fprintf(&sb, "%v "+format+"\n", append([]any{at}, args...)...)
-		}))
+	run := func() []telemetry.Event {
+		rec := telemetry.NewRecorder()
+		k := NewKernel(WithSeed(42), WithTelemetry(rec))
 		m := NewMailbox(k, "mb")
 		res := NewResource(k, "res", 1)
 		for i := 0; i < 4; i++ {
@@ -321,10 +322,14 @@ func TestDeterministicTrace(t *testing.T) {
 		if err := k.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		return sb.String()
+		return rec.Events()
 	}
-	if a, b := run(), run(); a != b {
-		t.Errorf("same seed produced different traces:\n%s\n---\n%s", a, b)
+	a, b := run(), run()
+	if len(a) == 0 {
+		t.Fatal("kernel emitted no events")
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("same seed produced different traces:\n%v\n---\n%v", a, b)
 	}
 }
 

@@ -20,7 +20,9 @@ import (
 // every other tenant for the shared network.
 type Spec struct {
 	// ID is the tenant's identity, stamped onto every event its processes
-	// emit. IDs must be positive: 0 is the shared-infrastructure tag.
+	// emit. IDs must be positive: 0 is the shared-infrastructure tag, which
+	// core.Run also gives its one tenant so a solo run keeps unprefixed
+	// process and port names.
 	ID int32
 	// ArriveAt is when the tenant's query tree is instantiated on the shared
 	// kernel (open-loop: arrivals do not wait for earlier tenants).

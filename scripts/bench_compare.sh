@@ -35,12 +35,15 @@ fi
 
 echo "comparing $new against baseline $base"
 STRICT_ALLOCS="$strict" python3 - "$base" "$new" <<'EOF'
-import json, os, sys
+import json, os, re, sys
 
 def load(path):
+    # Key by name without the -N suffix `go test` appends when GOMAXPROCS > 1,
+    # so a run on an N-core machine lines up with a baseline recorded at
+    # GOMAXPROCS 1.
     with open(path) as f:
         doc = json.load(f)
-    return {(b["pkg"], b["name"]): b for b in doc["benchmarks"]}
+    return {(b["pkg"], re.sub(r"-\d+$", "", b["name"])): b for b in doc["benchmarks"]}
 
 base, new = load(sys.argv[1]), load(sys.argv[2])
 THRESH = 0.15  # warn when ns/op moved more than this fraction either way
