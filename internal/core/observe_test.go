@@ -213,6 +213,25 @@ func TestTelemetryDoesNotPerturbDeterminism(t *testing.T) {
 	})
 }
 
+// TestNilPointerSinkIsOff: a nil *telemetry.Collector passed as the sink
+// leaves telemetry off, so the run completes as an unobserved one instead of
+// emitting into the nil collector.
+func TestNilPointerSinkIsOff(t *testing.T) {
+	cfg := func(o Observe) RunConfig {
+		return RunConfig{
+			Seed: 21, NumServers: 4, Shape: CompleteBinaryTree,
+			Links: constLinks(64 * 1024), Policy: placement.OneShot{},
+			Workload: smallWorkload(4),
+			Observe:  o,
+		}
+	}
+	res := mustRun(t, cfg(Observe{Telemetry: (*telemetry.Collector)(nil)}))
+	wantArrivals(t, res, 4)
+	if plain := mustRun(t, cfg(Observe{})); !reflect.DeepEqual(plain, res) {
+		t.Errorf("results diverge:\n  want=%+v\n  got=%+v", plain, res)
+	}
+}
+
 // TestArtifactsByteIdentical: two same-seed telemetry runs serialize
 // byte-identical JSONL event logs, kernel events included, and metrics
 // CSVs. This is the dynamic counterpart of the simlint analyzers —

@@ -68,13 +68,14 @@ type Config struct {
 	// TrackTransfers records every data transfer for protocol tests.
 	TrackTransfers bool
 
-	// Faults, when non-nil, switches the engine into resilient mode: node
-	// processes run fault-tolerant loops with demand-retry timers and
-	// crashed operators are re-instantiated at their consumer. The engine
-	// does not schedule the injector's crash windows itself: whoever
-	// schedules them reports each one through HostCrashed/HostRecovered.
-	// Nil keeps the strict loops, whose behaviour is byte-identical to an
-	// engine built before this field existed.
+	// Faults is the fault plan's injector, or nil for a fault-free run. With
+	// it, every input fetch arms a demand-retry timer and server and operator
+	// processes linger after the last iteration to re-serve stragglers;
+	// without it no timer is armed and those processes return once they
+	// have served the last iteration. The node loops are the same either
+	// way. The engine does not schedule the injector's crash windows itself:
+	// whoever schedules them reports each one through
+	// HostCrashed/HostRecovered.
 	Faults *faults.Injector
 
 	// Tenant namespaces the engine's mailbox ports and process names and tags
@@ -137,8 +138,8 @@ type Engine struct {
 	cfg   Config
 	k     *sim.Kernel
 	tel   telemetry.Sink // cached kernel sink; nil when telemetry is off
-	nodes map[plan.NodeID]*node
-	vecs  map[netmodel.HostID]*hostVectors
+	nodes []*node        // indexed by NodeID
+	vecs  []*hostVectors // indexed by HostID, grown on first use
 
 	windowHook WindowHook
 
@@ -151,9 +152,10 @@ type Engine struct {
 	// recovery layer can re-send it to a server whose copy was lost.
 	lastOrder *switchOrder
 
-	// fwds tracks live forwarder processes per host, so a crash can
-	// invalidate the forwarding pointers that lived there.
-	fwds map[netmodel.HostID][]*sim.Proc
+	// fwds tracks live forwarder processes per host (indexed by HostID,
+	// grown on first use), so a crash can invalidate the forwarding pointers
+	// that lived there.
+	fwds [][]*sim.Proc
 
 	res       Result
 	completed bool
@@ -195,15 +197,13 @@ func New(cfg Config) *Engine {
 	if cfg.ComposePerPixel <= 0 {
 		cfg.ComposePerPixel = netmodel.DefaultComposePerPixel
 	}
+	t := cfg.Tree
 	e := &Engine{
 		cfg:   cfg,
 		k:     cfg.Net.Kernel(),
-		nodes: make(map[plan.NodeID]*node),
-		vecs:  make(map[netmodel.HostID]*hostVectors),
-		fwds:  make(map[netmodel.HostID][]*sim.Proc),
+		nodes: make([]*node, t.NumNodes()),
 	}
-	t := cfg.Tree
-	for i := 0; i < t.NumNodes(); i++ {
+	for i := range e.nodes {
 		id := plan.NodeID(i)
 		n := &node{
 			e:        e,
@@ -219,8 +219,7 @@ func New(cfg Config) *Engine {
 		e.nodes[id] = n
 	}
 	// Neighbour tables from the initial placement.
-	for i := 0; i < t.NumNodes(); i++ {
-		n := e.nodes[plan.NodeID(i)]
+	for _, n := range e.nodes {
 		tn := t.Node(n.id)
 		for _, c := range tn.Children {
 			n.neighbor[c] = e.nodes[c].address()
@@ -343,8 +342,11 @@ func (e *Engine) HostVectors(h netmodel.HostID) (ts []int64, loc []netmodel.Host
 }
 
 func (e *Engine) vectors(h netmodel.HostID) *hostVectors {
-	hv, ok := e.vecs[h]
-	if !ok {
+	for int(h) >= len(e.vecs) {
+		e.vecs = append(e.vecs, nil)
+	}
+	hv := e.vecs[h]
+	if hv == nil {
 		hv = newHostVectors(e.cfg.Tree, e.cfg.Initial)
 		e.vecs[h] = hv
 	}
@@ -385,9 +387,9 @@ func (e *Engine) Completed() bool { return e.completed }
 // should exit when they see this, exactly as on completion.
 func (e *Engine) Aborted() bool { return e.aborted }
 
-// Start spawns a process per server, operator and client. In resilient mode
-// (Config.Faults set) the fault-tolerant loop variants run instead, and the
-// injector's crash/recover windows are scheduled on the kernel.
+// Start spawns a process per server, operator and client, each running its
+// demand-driven node loop. Crash and recovery windows are not scheduled
+// here: the run harness reports them through HostCrashed/HostRecovered.
 func (e *Engine) Start() {
 	e.tel = e.k.Telemetry()
 	t := e.cfg.Tree
@@ -413,26 +415,14 @@ func (e *Engine) Start() {
 	}
 	for _, s := range t.Servers() {
 		n := e.nodes[s]
-		if e.resilient() {
-			n.proc = e.spawn(fmt.Sprintf("server%d", s), func(p *sim.Proc) { n.resilientServerLoop(p) })
-		} else {
-			e.spawn(fmt.Sprintf("server%d", s), func(p *sim.Proc) { n.serverLoop(p) })
-		}
+		n.proc = e.spawn(fmt.Sprintf("server%d", s), func(p *sim.Proc) { n.serverLoop(p) })
 	}
 	for _, op := range t.Operators() {
 		n := e.nodes[op]
-		if e.resilient() {
-			n.proc = e.spawn(fmt.Sprintf("op%d", op), func(p *sim.Proc) { n.resilientOperatorLoop(p) })
-		} else {
-			e.spawn(fmt.Sprintf("op%d", op), func(p *sim.Proc) { n.operatorLoop(p) })
-		}
+		n.proc = e.spawn(fmt.Sprintf("op%d", op), func(p *sim.Proc) { n.operatorLoop(p) })
 	}
 	cn := e.nodes[t.ClientNode()]
-	if e.resilient() {
-		cn.proc = e.spawn("client", func(p *sim.Proc) { cn.resilientClientLoop(p) })
-	} else {
-		e.spawn("client", func(p *sim.Proc) { cn.clientLoop(p) })
-	}
+	cn.proc = e.spawn("client", func(p *sim.Proc) { cn.clientLoop(p) })
 }
 
 // finish records completion statistics.

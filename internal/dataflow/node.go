@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"slices"
 
 	"wadc/internal/netmodel"
 	"wadc/internal/obs"
@@ -52,15 +53,15 @@ type node struct {
 	seenProps map[int]bool
 	pendProp  *proposal
 
-	// Recovery state (resilient mode only; see recovery.go). alive is the
-	// engine-registry liveness flag consulted by consumers before demanding;
-	// proc is the process currently driving the node, killed on host crash.
+	fetch fetchState // the input fetch; active only while one is in progress
+
+	// Recovery state (see recovery.go). alive is the engine-registry liveness
+	// flag consulted by consumers before demanding; proc is the process
+	// currently driving the node, killed on host crash.
 	alive     bool
 	proc      *sim.Proc
-	lastSent  *heldData   // most recently served output, kept for re-serving
-	startIter int         // first iteration of this incarnation
-	fetchSeq  int         // monotone fetch counter guarding stale retry ticks
-	fetch     *fetchState // in-progress input fetch, nil between fetches
+	lastSent  *heldData // most recently served output, kept for re-serving
+	startIter int       // first iteration of this incarnation
 }
 
 func (n *node) address() addr { return addr{host: n.host, port: n.port} }
@@ -139,26 +140,6 @@ func (n *node) onReceive(env *envelope) {
 		}
 	case kindData, kindMoveNotice:
 		n.neighbor[env.from] = env.fromAddr
-	}
-}
-
-// awaitDemand blocks until the demand for iteration it arrives, handling
-// control traffic meanwhile. A switch order arriving here is applied
-// immediately (the node is between iterations).
-func (n *node) awaitDemand(p *sim.Proc, it int) *envelope {
-	for {
-		env := n.nextEnvelope(p)
-		switch env.kind {
-		case kindDemand:
-			if env.iter != it {
-				panic(fmt.Sprintf("dataflow: node %d expected demand %d, got %d", n.id, it, env.iter))
-			}
-			return env
-		case kindSwitchAt:
-			n.applySwitchIfDue(p, it)
-		case kindData:
-			panic(fmt.Sprintf("dataflow: node %d got data iter %d while awaiting demand %d", n.id, env.iter, it))
-		}
 	}
 }
 
@@ -257,7 +238,7 @@ func (e *Engine) spawnForwarder(n *node, oldHost netmodel.HostID, mb *sim.Mailbo
 	fp := e.spawn(fmt.Sprintf("fwd-n%d-%d", n.id, n.moveSeq), func(p *sim.Proc) {
 		for {
 			msg := mb.Recv(p).(*netmodel.Message)
-			if e.resilient() && !n.alive {
+			if !n.alive {
 				// The target died since the pointer was planted: drop rather
 				// than deliver into a dead incarnation's mailbox.
 				continue
@@ -280,6 +261,9 @@ func (e *Engine) spawnForwarder(n *node, oldHost netmodel.HostID, mb *sim.Mailbo
 	// Forwarding is recovery machinery, not steady-state dataflow: profile
 	// and attribute its wall time accordingly.
 	fp.SetSubsystem(obs.SubsysRecovery)
+	for int(oldHost) >= len(e.fwds) {
+		e.fwds = append(e.fwds, nil)
+	}
 	e.fwds[oldHost] = append(e.fwds[oldHost], fp)
 }
 
@@ -313,84 +297,6 @@ func (n *node) sendData(p *sim.Proc, demand *envelope) {
 	n.held = nil
 }
 
-// produce computes the node's output for iteration it: an operator demands
-// data from both producers ("an operator requests data from its producers
-// only after it has dispatched its output to its consumer"), tracks which
-// producer delivered later, and composes on the local CPU.
-func (n *node) produce(p *sim.Proc, it int) {
-	children := n.e.cfg.Tree.Node(n.id).Children
-	prop := n.pendProp
-	n.pendProp = nil
-	fetchStart := n.e.k.Now()
-	for _, c := range children {
-		env := &envelope{
-			kind: kindDemand, iter: it,
-			markLater:        n.lateMark[c],
-			consumerCritical: n.critical,
-			prop:             prop,
-		}
-		n.lateMark[c] = false
-		if n.e.tel != nil {
-			n.e.k.Emit(telemetry.Event{
-				Kind: telemetry.KindDemandSent,
-				Node: int32(c), Host: int32(n.host), Peer: int32(n.neighbor[c].host),
-				Iter: int32(it),
-			})
-		}
-		n.send(p, n.neighbor[c], env, n.e.cfg.ControlBytes, sim.PriorityControl)
-	}
-	// Operators are binary (plan.Tree validates it), so the input sizes fit
-	// a fixed array: no slice to grow per compose.
-	var sizes [2]int64
-	var got int
-	var lastFrom plan.NodeID
-	var lastBytes int64
-	for got < len(children) {
-		env := n.recvNew(p)
-		switch env.kind {
-		case kindData:
-			if env.iter != it {
-				panic(fmt.Sprintf("dataflow: node %d got data iter %d during produce %d", n.id, env.iter, it))
-			}
-			sizes[got] = env.bytes
-			got++
-			lastFrom = env.from
-			lastBytes = env.bytes
-		case kindDemand:
-			// The consumer's next demand arrived while we prefetch: buffer.
-			n.pendingMsgs = append(n.pendingMsgs, env)
-		case kindSwitchAt, kindMoveNotice, kindIterReport:
-			// Passive effects already applied in onReceive; switch orders
-			// are acted on at the next iteration boundary, never mid-fetch.
-		}
-	}
-	n.lateMark[lastFrom] = true
-	// The last-arriving input is the gating input: its arrival is the causal
-	// edge that released this compose. The fetch span (first demand dispatch
-	// to gating arrival) and the CPU-queue wait below complete the lineage
-	// from the child's serve to this operator's fire.
-	gateAt := n.e.k.Now()
-	if n.e.tel != nil {
-		n.e.k.Emit(telemetry.Event{
-			Kind: telemetry.KindComposeGated,
-			Node: int32(n.id), Host: int32(n.host), Peer: int32(lastFrom),
-			Iter: int32(it), Bytes: lastBytes, Dur: int64(gateAt - fetchStart),
-		})
-	}
-	dur := workload.ComposeDuration(sizes[0], sizes[1], n.e.cfg.ComposePerPixel)
-	n.e.cfg.Net.Host(n.host).Compute(p, dur)
-	now := n.e.k.Now()
-	n.held = &heldData{iter: it, bytes: workload.ComposeBytes(sizes[0], sizes[1]), readyAt: now}
-	if n.e.tel != nil {
-		n.e.k.Emit(telemetry.Event{
-			Kind: telemetry.KindOperatorFired,
-			Node: int32(n.id), Host: int32(n.host),
-			Iter: int32(it), Bytes: n.held.bytes, Dur: int64(dur),
-			Wait: int64(now-gateAt) - int64(dur),
-		})
-	}
-}
-
 // readImage reads iteration it's partition image off the local disk into the
 // node's held buffer, recording the source-read causal edge (the leaf end of
 // every realized critical path). Dur is the elapsed read time, disk-queue
@@ -413,80 +319,284 @@ func (n *node) readImage(p *sim.Proc, it int, bytes int64) {
 	}
 }
 
-// operatorLoop is an operator's lifetime: serve each iteration's demand from
-// held output, then (relocation window) possibly move, then prefetch.
+// fetchState is a node's input fetch: the iteration demanded from its
+// producers (the node's children in the tree: an operator's two inputs, the
+// client's root operator), what each has delivered, and the armed retry
+// timer. It lives on the node and is reset per fetch, so fetching allocates
+// nothing; got and arrived are indexed like the children, of which there are
+// at most two (plan.Tree validates that operators are binary).
+type fetchState struct {
+	active  bool
+	iter    int
+	seq     int // monotone per node; guards stale retry ticks
+	attempt int
+	prop    *proposal
+	got     [2]int64 // bytes delivered by each producer
+	arrived [2]bool
+	last    int // index of the last producer to deliver
+	timer   *sim.Timer
+}
+
+// stop ends the fetch and disarms its retry timer. The iteration, attempt
+// count and deliveries stay readable.
+func (f *fetchState) stop() {
+	f.timer.Stop()
+	f.timer, f.active = nil, false
+}
+
+// done reports whether a server or operator loop whose next iteration is
+// next has nothing left to do. Without faults nothing is lost, so nothing is
+// re-served and the loop returns after the last iteration; under faults it
+// lingers, re-serving stragglers, until the kernel drains.
+func (e *Engine) done(next int) bool {
+	return e.cfg.Faults == nil && next >= e.cfg.Iterations
+}
+
+// runFetch demands iteration it from every producer and blocks until all
+// have delivered, retrying on timer ticks, ignoring stale or duplicate data,
+// and buffering consumer demands that arrive meanwhile. prop, if set, rides
+// on every demand of the fetch.
+func (n *node) runFetch(p *sim.Proc, it int, prop *proposal) {
+	children := n.e.cfg.Tree.Node(n.id).Children
+	f := &n.fetch
+	f.seq++
+	f.active, f.iter, f.attempt, f.prop, f.arrived = true, it, 0, prop, [2]bool{}
+	for _, c := range children {
+		mark := true // the client's sole producer is trivially the later one
+		if n.kind == plan.Operator {
+			mark = n.lateMark[c]
+			n.lateMark[c] = false
+		}
+		n.demandChild(p, c, mark)
+	}
+	n.scheduleRetry()
+	for got := 0; got < len(children); {
+		env := n.recvNew(p)
+		switch env.kind {
+		case kindData:
+			i := slices.Index(children, env.from)
+			if env.iter != it || i < 0 || f.arrived[i] {
+				continue // stale delivery from a superseded fetch, or a duplicate
+			}
+			f.got[i], f.arrived[i], f.last = env.bytes, true, i
+			got++
+		case kindDemand:
+			// The consumer's next demand arrived while we prefetch: buffer.
+			n.pendingMsgs = append(n.pendingMsgs, env)
+		case kindRetryTick:
+			n.maybeRetry(p, env)
+			if n.kind == plan.Client {
+				n.maybeCancelSwitch(p)
+			}
+		case kindIterReport:
+			if n.kind == plan.Client {
+				n.handleIterReport(p, env)
+			}
+		case kindSwitchAt, kindMoveNotice:
+			// Passive effects already applied in onReceive; switch orders
+			// are acted on at the next iteration boundary, never mid-fetch.
+		}
+	}
+	f.stop()
+}
+
+// demandChild sends (or re-sends) the active fetch's demand to producer c,
+// re-instantiating it first if it is a dead operator.
+func (n *node) demandChild(p *sim.Proc, c plan.NodeID, markLater bool) {
+	f := &n.fetch
+	if !n.e.nodes[c].alive {
+		n.reinstantiate(c, f.iter)
+	}
+	if n.e.tel != nil {
+		n.e.k.Emit(telemetry.Event{
+			Kind: telemetry.KindDemandSent,
+			Node: int32(c), Host: int32(n.host), Peer: int32(n.neighbor[c].host),
+			Iter: int32(f.iter),
+		})
+	}
+	env := &envelope{
+		kind: kindDemand, iter: f.iter,
+		markLater:        markLater,
+		consumerCritical: n.critical,
+		prop:             f.prop,
+	}
+	n.send(p, n.neighbor[c], env, n.e.cfg.ControlBytes, sim.PriorityControl)
+}
+
+// produce computes the operator's output for iteration it: it demands data
+// from both producers ("an operator requests data from its producers only
+// after it has dispatched its output to its consumer"), tracks which producer
+// delivered later, and composes on the local CPU.
+func (n *node) produce(p *sim.Proc, it int) {
+	e := n.e
+	prop := n.pendProp
+	n.pendProp = nil
+	fetchStart := e.k.Now()
+	n.runFetch(p, it, prop)
+	f := &n.fetch
+	lastFrom := e.cfg.Tree.Node(n.id).Children[f.last]
+	n.lateMark[lastFrom] = true
+	// The last-arriving input is the gating input: its arrival is the causal
+	// edge that released this compose, whatever retries it took to get
+	// there. The fetch span (first demand dispatch to gating arrival) and the
+	// CPU-queue wait below complete the lineage from the child's serve to
+	// this operator's fire.
+	gateAt := e.k.Now()
+	if e.tel != nil {
+		e.k.Emit(telemetry.Event{
+			Kind: telemetry.KindComposeGated,
+			Node: int32(n.id), Host: int32(n.host), Peer: int32(lastFrom),
+			Iter: int32(it), Bytes: f.got[f.last], Dur: int64(gateAt - fetchStart),
+		})
+	}
+	dur := workload.ComposeDuration(f.got[0], f.got[1], e.cfg.ComposePerPixel)
+	e.cfg.Net.Host(n.host).Compute(p, dur)
+	now := e.k.Now()
+	n.held = &heldData{iter: it, bytes: workload.ComposeBytes(f.got[0], f.got[1]), readyAt: now}
+	if e.tel != nil {
+		e.k.Emit(telemetry.Event{
+			Kind: telemetry.KindOperatorFired,
+			Node: int32(n.id), Host: int32(n.host),
+			Iter: int32(it), Bytes: n.held.bytes, Dur: int64(dur),
+			Wait: int64(now-gateAt) - int64(dur),
+		})
+	}
+}
+
+// operatorLoop is an operator's lifetime: serve each demand from held output
+// (producing it first if needed), then (relocation window) possibly move,
+// then prefetch the next iteration. The loop is demand-driven rather than
+// iteration-counted, so under faults the operator can serve a consumer
+// incarnation that is ahead of it (fast-forward) and re-serve one that lost
+// a delivery.
 func (n *node) operatorLoop(p *sim.Proc) {
 	e := n.e
-	for it := 0; it < e.cfg.Iterations; it++ {
-		n.applySwitchIfDue(p, it)
-		demand := n.awaitDemand(p, it)
-		if n.held == nil || n.held.iter != it {
-			n.produce(p, it)
-		}
-		n.sendData(p, demand)
-
-		// Relocation window: barrier change-over first, then the policy.
-		// The hook runs the placement optimiser, so its wall time (and any
-		// move it orders) belongs to the placement obs region.
-		n.applySwitchIfDue(p, it+1)
-		if e.windowHook != nil {
-			prevRegion := p.EnterRegion(obs.SubsysPlacement)
-			if target, move := e.windowHook(p, n.id, it); move && target != n.host {
-				n.moveTo(p, target, 0, false)
+	it := n.startIter // next expected iteration
+	for !e.done(it) {
+		env := n.nextEnvelope(p)
+		switch env.kind {
+		case kindDemand:
+			d := env.iter
+			if d >= e.cfg.Iterations {
+				continue
 			}
-			p.ExitRegion(prevRegion)
-		}
-		if it+1 < e.cfg.Iterations {
-			n.produce(p, it+1)
+			if d < it {
+				if n.lastSent != nil && n.lastSent.iter == d {
+					n.reServe(p, env)
+					continue
+				}
+				// The consumer is a restarted incarnation fetching an
+				// iteration this operator has already moved past and no
+				// longer holds. Rewind and re-produce it: operators are
+				// deterministic functions of their inputs, and every
+				// producer below can serve any iteration on demand (servers
+				// re-read the partition from disk, operators rewind in
+				// turn).
+			}
+			it = d
+			n.applySwitchIfDue(p, it)
+			if n.held == nil || n.held.iter != it {
+				n.produce(p, it)
+			}
+			n.sendData(p, env)
+
+			// Relocation window: barrier change-over first, then the policy.
+			// The hook runs the placement optimiser, so its wall time (and any
+			// move it orders) belongs to the placement obs region.
+			n.applySwitchIfDue(p, it+1)
+			if e.windowHook != nil {
+				prevRegion := p.EnterRegion(obs.SubsysPlacement)
+				if target, move := e.windowHook(p, n.id, it); move && target != n.host {
+					n.moveTo(p, target, 0, false)
+				}
+				p.ExitRegion(prevRegion)
+			}
+			it++
+			if it < e.cfg.Iterations {
+				n.produce(p, it)
+			}
+		case kindSwitchAt:
+			n.applySwitchIfDue(p, it)
+		case kindData, kindMoveNotice, kindIterReport, kindRetryTick:
+			// Passive effects already applied; ticks here are always stale
+			// (no fetch is active between demands).
 		}
 	}
 }
 
-// serverLoop is a data source's lifetime: it reads images off disk, holds
-// one prefetched output, and participates in barrier change-overs by
-// reporting its iteration number and suspending until the client broadcasts
-// the switch iteration (paper §2.2).
+// serverLoop is a data source's lifetime: purely demand-driven, it serves
+// any iteration by (re-)reading the partition from disk, holds one
+// prefetched output, and takes part in barrier change-overs by reporting its
+// iteration number and suspending until the client broadcasts the switch
+// iteration (paper §2.2).
 func (n *node) serverLoop(p *sim.Proc) {
 	e := n.e
 	images := e.cfg.Images[e.cfg.Tree.Node(n.id).ServerIndex]
 	clientAddr := e.nodes[e.cfg.Tree.ClientNode()].address
-	for it := 0; it < e.cfg.Iterations; it++ {
-		demand := n.awaitDemand(p, it)
-		if demand.prop != nil {
-			if n.seenProps == nil {
-				n.seenProps = make(map[int]bool)
-			}
-			if !n.seenProps[demand.prop.id] {
-				n.seenProps[demand.prop.id] = true
-				rep := &envelope{kind: kindIterReport, iter: it, propID: demand.prop.id}
-				n.send(p, clientAddr(), rep, e.cfg.ControlBytes, sim.PriorityBarrier)
-				// Suspend until the client's broadcast for this proposal.
-				for n.order == nil || n.order.id < demand.prop.id {
-					env := n.recvNew(p)
-					if env.kind == kindDemand || env.kind == kindData {
-						n.pendingMsgs = append(n.pendingMsgs, env)
-					}
-				}
-			}
+	for next := 0; !e.done(next); {
+		env := n.nextEnvelope(p)
+		if env.kind != kindDemand {
+			continue // passive effects already applied
+		}
+		it := env.iter
+		if it >= e.cfg.Iterations {
+			continue
+		}
+		if env.prop != nil {
+			n.barrierWait(p, clientAddr(), env.prop.id, it)
 		}
 		n.applySwitchIfDue(p, it)
 		if n.held == nil || n.held.iter != it {
 			n.readImage(p, it, images[it].Bytes)
 		}
-		n.sendData(p, demand)
-		if it+1 < e.cfg.Iterations {
-			n.readImage(p, it+1, images[it+1].Bytes)
+		n.sendData(p, env)
+		next = it + 1
+		if next < e.cfg.Iterations && (n.held == nil || n.held.iter != next) {
+			n.readImage(p, next, images[next].Bytes)
 		}
 	}
 }
 
-// clientLoop drives the computation: one demand per iteration, recording
-// arrival times, attaching switch proposals to demands and running the
-// barrier bookkeeping (collecting server iteration reports, broadcasting the
-// switch iteration).
+// barrierWait is the server's barrier participation: on first sight of the
+// proposal it reports its iteration to the client and suspends until the
+// order arrives. Any demand received while suspended means some consumer is
+// retrying — so either this server's report or the client's broadcast was
+// lost somewhere — and the server re-reports. The demand need not carry the
+// proposal: a consumer that already consumed its pending proposal retries
+// with prop-less demands, and those were precisely the ones that could
+// deadlock the barrier when the original report was dropped.
+func (n *node) barrierWait(p *sim.Proc, client addr, propID, it int) {
+	e := n.e
+	if n.seenProps == nil {
+		n.seenProps = make(map[int]bool)
+	}
+	if n.seenProps[propID] && !(n.order == nil || n.order.id < propID) {
+		return // already past this barrier
+	}
+	if !n.seenProps[propID] {
+		n.seenProps[propID] = true
+		rep := &envelope{kind: kindIterReport, iter: it, propID: propID}
+		n.send(p, client, rep, e.cfg.ControlBytes, sim.PriorityBarrier)
+	}
+	for n.order == nil || n.order.id < propID {
+		env := n.recvNew(p)
+		switch env.kind {
+		case kindDemand:
+			rep := &envelope{kind: kindIterReport, iter: env.iter, propID: propID}
+			n.send(p, client, rep, e.cfg.ControlBytes, sim.PriorityBarrier)
+			n.pendingMsgs = append(n.pendingMsgs, env)
+		case kindData:
+			n.pendingMsgs = append(n.pendingMsgs, env)
+		}
+	}
+}
+
+// clientLoop drives the computation: each iteration is one fetch of the
+// root operator, recording arrival times, attaching switch proposals to
+// demands and running the barrier bookkeeping (collecting server iteration
+// reports, broadcasting the switch iteration).
 func (n *node) clientLoop(p *sim.Proc) {
 	e := n.e
-	root := e.cfg.Tree.Root()
 	arrivals := make([]sim.Time, 0, e.cfg.Iterations)
 	for it := 0; it < e.cfg.Iterations; it++ {
 		var prop *proposal
@@ -503,41 +613,16 @@ func (n *node) clientLoop(p *sim.Proc) {
 			e.pendingProposal = nil // too late in the run: drop
 		}
 		n.applySwitchIfDue(p, it)
-		env := &envelope{
-			kind: kindDemand, iter: it,
-			markLater:        true, // sole producer: trivially the later one
-			consumerCritical: true, // the root is critical by definition
-			prop:             prop,
+		n.runFetch(p, it, prop)
+		arrivals = append(arrivals, p.Now())
+		if rec := e.k.Obs(); rec != nil {
+			rec.WorkDone(1) // each arrived image is one progress unit
 		}
 		if e.tel != nil {
 			e.k.Emit(telemetry.Event{
-				Kind: telemetry.KindDemandSent,
-				Node: int32(root), Host: int32(n.host), Peer: int32(n.neighbor[root].host),
-				Iter: int32(it),
+				Kind: telemetry.KindImageArrived,
+				Host: int32(n.host), Iter: int32(it), Bytes: n.fetch.got[0],
 			})
-		}
-		n.send(p, n.neighbor[root], env, e.cfg.ControlBytes, sim.PriorityControl)
-		for {
-			got := n.nextEnvelope(p)
-			if got.kind == kindData {
-				if got.iter != it {
-					panic(fmt.Sprintf("dataflow: client expected iter %d, got %d", it, got.iter))
-				}
-				arrivals = append(arrivals, p.Now())
-				if rec := e.k.Obs(); rec != nil {
-					rec.WorkDone(1) // each arrived image is one progress unit
-				}
-				if e.tel != nil {
-					e.k.Emit(telemetry.Event{
-						Kind: telemetry.KindImageArrived,
-						Host: int32(n.host), Iter: int32(it), Bytes: got.bytes,
-					})
-				}
-				break
-			}
-			if got.kind == kindIterReport {
-				n.handleIterReport(p, got)
-			}
 		}
 	}
 	e.finish(arrivals)
@@ -549,13 +634,13 @@ func (n *node) clientLoop(p *sim.Proc) {
 func (n *node) handleIterReport(p *sim.Proc, env *envelope) {
 	e := n.e
 	st := e.switchActive
-	if st == nil || (e.resilient() && env.propID != st.prop.id) {
+	if st == nil || env.propID != st.prop.id {
 		// No change-over is collecting this report. If the report answers a
 		// proposal whose order was already broadcast, the server evidently
 		// lost its copy (report or broadcast dropped): re-send the order
-		// directly so the server can leave its suspension (recovery only —
-		// duplicate reports cannot occur on the fault-free path).
-		if e.resilient() && e.lastOrder != nil && env.propID == e.lastOrder.id {
+		// directly so the server can leave its suspension. Late and duplicate
+		// reports arise only when messages are lost.
+		if e.lastOrder != nil && env.propID == e.lastOrder.id {
 			n.send(p, e.nodes[env.from].address(),
 				&envelope{kind: kindSwitchAt, iter: e.lastOrder.iter, order: e.lastOrder},
 				e.cfg.ControlBytes, sim.PriorityBarrier)

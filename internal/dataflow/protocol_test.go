@@ -128,12 +128,14 @@ func TestTwoSequentialSwitches(t *testing.T) {
 }
 
 func TestSwitchWithCatchUpMove(t *testing.T) {
-	// Force the catch-up path (applySwitchIfDue at the loop top, moving held
-	// data) by using a switch that becomes known to an operator only after
-	// it prefetched the switch iteration. Hard to force deterministically
-	// from outside, so instead verify the MoveLog records barrier moves and
-	// every barrier move happened at or before the first post-switch data
-	// transfer of its operator.
+	// The catch-up path (applySwitchIfDue when the demand for the switch
+	// iteration arrives, moving held data) needs a switch that becomes
+	// known to an operator only after it prefetched the switch iteration.
+	// Without faults that cannot happen: the order piggybacks on every data
+	// message from the servers' maximum report on, so the relocation-window
+	// call applies it before the prefetch. Instead verify the MoveLog
+	// records barrier moves and every barrier move happened at or before
+	// the first post-switch data transfer of its operator.
 	r := newRig(4, 16, 64*1024, 64*1024)
 	e := r.engine(nil)
 	newPl := r.init.Clone()

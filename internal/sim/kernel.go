@@ -113,20 +113,12 @@ func (k *Kernel) Scheduled() uint64 { return k.seq }
 // hooks on the nil check, exactly like Telemetry.
 func (k *Kernel) Obs() *obs.Recorder { return k.obs }
 
-// AddSink appends a telemetry sink to the kernel's fan-out. Normally sinks
-// are installed via WithTelemetry at construction; AddSink exists
-// so higher layers (e.g. the run harness) can attach sinks after building the
-// kernel but before the simulation starts.
-func (k *Kernel) AddSink(s telemetry.Sink) {
-	if s == nil {
-		return
-	}
-	if k.tel == nil {
-		k.tel = s
-		return
-	}
-	k.tel = telemetry.Multi(k.tel, s)
-}
+// AddSink appends a telemetry sink to the kernel's fan-out; a nil sink,
+// nil pointers included, adds nothing. Normally sinks are installed via
+// WithTelemetry at construction; AddSink exists so higher layers (e.g. the
+// run harness) can attach sinks after building the kernel but before the
+// simulation starts.
+func (k *Kernel) AddSink(s telemetry.Sink) { k.tel = telemetry.Multi(k.tel, s) }
 
 // Telemetry returns the kernel's telemetry sink, or nil when telemetry is
 // disabled. Model layers cache this once and guard their emission sites on

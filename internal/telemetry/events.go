@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"reflect"
 )
 
 // Kind discriminates events. Kernel-level kinds (scheduler actions, very high
@@ -387,27 +388,39 @@ func (m *multi) Emit(ev Event) {
 }
 
 // Multi combines sinks into one, dropping nils and flattening nested Multis.
-// It returns nil if every argument is nil.
+// A nil pointer counts as nil, so a nil *Collector passed as a Sink adds
+// nothing. It returns nil if every argument is nil, and the one live sink
+// unwrapped if there is only one.
 func Multi(sinks ...Sink) Sink {
-	var flat []Sink
+	var one Sink
+	live := 0
 	for _, s := range sinks {
-		switch v := s.(type) {
-		case nil:
-			continue
-		case *multi:
-			flat = append(flat, v.sinks...)
-		default:
-			flat = append(flat, s)
+		if !isNil(s) {
+			one = s
+			live++
 		}
 	}
-	switch len(flat) {
+	switch live {
 	case 0:
 		return nil
 	case 1:
-		return flat[0]
-	default:
-		return &multi{sinks: flat}
+		return one
 	}
+	var flat []Sink
+	for _, s := range sinks {
+		if m, ok := s.(*multi); ok && m != nil {
+			flat = append(flat, m.sinks...)
+		} else if !isNil(s) {
+			flat = append(flat, s)
+		}
+	}
+	return &multi{sinks: flat}
+}
+
+// isNil reports whether s is nil or a nil pointer.
+func isNil(s Sink) bool {
+	v := reflect.ValueOf(s)
+	return !v.IsValid() || v.Kind() == reflect.Pointer && v.IsNil()
 }
 
 // filter forwards only events accepted by keep.

@@ -151,11 +151,14 @@ func TestMultiFlattensAndDropsNils(t *testing.T) {
 	if Multi() != nil || Multi(nil, nil) != nil {
 		t.Error("Multi of nils should be nil")
 	}
+	if got := Multi((*Collector)(nil), (*Recorder)(nil), nil); got != nil {
+		t.Errorf("Multi of nil pointers = %#v, want nil", got)
+	}
 	a, b, c := &Recorder{}, &Recorder{}, &Recorder{}
-	if got := Multi(nil, a); got != a {
+	if got := Multi(nil, a, (*Collector)(nil)); got != a {
 		t.Error("Multi with one live sink should return it unwrapped")
 	}
-	m := Multi(Multi(a, b), nil, c)
+	m := Multi(Multi(a, b), nil, (*Recorder)(nil), c)
 	inner, ok := m.(*multi)
 	if !ok || len(inner.sinks) != 3 {
 		t.Fatalf("nested Multi not flattened: %#v", m)
