@@ -210,7 +210,7 @@ func BenchmarkOneShotOptimize(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = placement.OneShotOptimize(initial, hosts, model, bw)
+		_ = placement.OneShotOptimizeAudited(initial, hosts, model, bw, placement.Decision{})
 	}
 }
 

@@ -52,7 +52,7 @@ func main() {
 		alg     = flag.String("alg", "global", "placement algorithm: download-all, one-shot, global, local")
 		shape   = flag.String("shape", "binary", "combination order: binary or left-deep")
 		period  = flag.Duration("period", 10*time.Minute, "relocation period for on-line algorithms")
-		extra   = flag.Int("extra", 0, "extra random candidate locations (local algorithm)")
+		extra   = flag.Int("extra", 0, "extra random candidate locations (local algorithm; single runs only)")
 		iters   = flag.Int("iters", workload.DefaultImagesPerServer, "images per server")
 		seed    = flag.Int64("seed", 1, "random seed")
 		config  = flag.Int("config", 0, "network configuration index")
@@ -100,6 +100,12 @@ func main() {
 		}
 	}
 
+	// Multi-tenant runs build each tenant's policy from the period and seed
+	// alone, so they cannot honour -extra.
+	if *tenants > 1 && *extra != 0 {
+		fmt.Fprintln(os.Stderr, "combine: -extra applies to single runs only, not with -tenants > 1")
+		os.Exit(2)
+	}
 	policy, err := core.NewPolicy(*alg, core.PolicyOptions{Period: *period, Extra: *extra, Seed: *seed})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "combine: %v\n", err)

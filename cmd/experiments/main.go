@@ -44,9 +44,9 @@ func main() {
 		Workers:      *workers,
 		TelemetryDir: *telDir,
 	}
-	// The sweep heartbeat counts (configuration, algorithm) cells: RunSweep
-	// adds each figure's cells to the work meter as it starts and marks them
-	// done as they finish, so one recorder spans all requested figures.
+	// The sweep heartbeat counts simulation cells: each figure's cell pool
+	// adds its cells to the work meter as it starts and marks them done as
+	// they finish, so one recorder spans all requested figures.
 	if *progress > 0 {
 		opts.Perf = obs.NewRecorder()
 		hb := obs.NewProgress(opts.Perf, os.Stderr, *progress)

@@ -100,7 +100,7 @@ func Convergence(tl *Timeline, oracle OracleBandwidth, model plan.CostModel,
 		bw := oracle(t)
 		held := tl.At(t)
 		heldCost := model.Evaluate(held, bw).Cost
-		best := placement.OneShotOptimize(held, hosts, model, bw)
+		best := placement.OneShotOptimizeAudited(held, hosts, model, bw, placement.Decision{})
 		bestCost := model.Evaluate(best, bw).Cost
 		if bestCost <= 0 {
 			continue

@@ -34,20 +34,6 @@ func SplitByTenant(events []telemetry.Event) map[int32][]telemetry.Event {
 	return out
 }
 
-// Tenants lists the tenant IDs present in the log, ascending.
-func Tenants(events []telemetry.Event) []int32 {
-	seen := make(map[int32]bool)
-	for _, ev := range events {
-		seen[ev.Tenant] = true
-	}
-	ids := make([]int32, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 // TenantCritPathSummary aggregates one tenant's realized critical paths:
 // iteration latency percentiles and the per-category attribution shares.
 type TenantCritPathSummary struct {

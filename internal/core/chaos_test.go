@@ -9,6 +9,7 @@ import (
 	"wadc/internal/netmodel"
 	"wadc/internal/placement"
 	"wadc/internal/sim"
+	"wadc/internal/telemetry"
 	"wadc/internal/trace"
 )
 
@@ -55,7 +56,8 @@ func TestChaosServerCrashMidTransfer(t *testing.T) {
 				Workload: smallWorkload(iters),
 			}
 			probe := base
-			probe.TrackTransfers = true
+			rec := &telemetry.Recorder{}
+			probe.Telemetry = rec
 			baseline := mustRun(t, probe)
 			wantArrivals(t, baseline, iters)
 
@@ -64,10 +66,11 @@ func TestChaosServerCrashMidTransfer(t *testing.T) {
 			clientHost := baseline.InitialPlacement.ClientHost()
 			var victim netmodel.HostID = netmodel.HostID(0)
 			var at sim.Time
-			for _, tr := range baseline.DataTransfers {
-				if tr.At > baseline.Completion/3 && tr.FromHost != clientHost &&
-					int(tr.FromHost) < base.NumServers {
-					victim, at = tr.FromHost, tr.At-500*sim.Millisecond
+			for _, ev := range rec.Events() {
+				from, served := netmodel.HostID(ev.Host), sim.Time(ev.At)
+				if ev.Kind == telemetry.KindDataServed && served > baseline.Completion/3 &&
+					from != clientHost && int(from) < base.NumServers {
+					victim, at = from, served-500*sim.Millisecond
 					break
 				}
 			}

@@ -113,8 +113,6 @@ type RunConfig struct {
 	// Iterations overrides the number of partitions (default: full
 	// sequences).
 	Iterations int
-	// TrackTransfers records every data transfer in the result.
-	TrackTransfers bool
 	// FlatPriorities disables message-priority queueing in the network — the
 	// ablation of the paper's barrier-priority design point (§2.2).
 	FlatPriorities bool
@@ -191,7 +189,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 			Seed: cfg.Seed, NumServers: cfg.NumServers, Iterations: cfg.Iterations,
 			Algorithm: cfg.Policy.Name(), Servers: servers,
 		},
-		shape: cfg.Shape, policy: cfg.Policy, trackTransfers: cfg.TrackTransfers,
+		shape: cfg.Shape, policy: cfg.Policy,
 	}
 	m, err := simulate(shared, []*tenantRun{solo})
 	if err != nil {

@@ -236,17 +236,3 @@ func TestRunWithOracleMonitoring(t *testing.T) {
 		t.Errorf("first arrival %v suspiciously slow for oracle mode", res.Arrivals[0])
 	}
 }
-
-func TestRunTrackTransfers(t *testing.T) {
-	res, err := Run(RunConfig{
-		Seed: 2, NumServers: 2, Shape: CompleteBinaryTree,
-		Links: constLinks(64 * 1024), Policy: placement.DownloadAll{},
-		Workload: smallWorkload(4), TrackTransfers: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.DataTransfers) == 0 {
-		t.Error("transfers not tracked")
-	}
-}

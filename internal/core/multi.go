@@ -105,10 +105,9 @@ type MultiResult struct {
 // tenantRun is the harness's per-tenant state: everything resolved at setup
 // so the arrival callback cannot fail mid-simulation.
 type tenantRun struct {
-	spec           tenant.Spec
-	shape          TreeShape
-	policy         placement.Policy
-	trackTransfers bool
+	spec   tenant.Spec
+	shape  TreeShape
+	policy placement.Policy
 
 	serverHosts []netmodel.HostID
 	tree        *plan.Tree
@@ -226,7 +225,7 @@ func simulate(cfg MultiConfig, runs []*tenantRun) (MultiResult, error) {
 		if err := faultPlan.Validate(net.NumHosts(), client.ID()); err != nil {
 			return MultiResult{}, fmt.Errorf("core: invalid fault plan: %w", err)
 		}
-		inj = faults.NewInjector(faultPlan, rand.New(rand.NewSource(fcfg.Seed+1)), fcfg.Retry)
+		inj = faults.NewInjector(faultPlan, rand.New(rand.NewSource(fcfg.Seed+1)))
 		net.SetFaults(inj)
 	}
 
@@ -396,13 +395,12 @@ func launchTenant(k *sim.Kernel, net *netmodel.Network, mon *monitor.System,
 		tr.initial = initial.Clone()
 		eng := dataflow.New(dataflow.Config{
 			Net: net, Mon: mon, Tree: tr.tree,
-			Initial:        initial,
-			Images:         tr.images,
-			Iterations:     sp.Iterations,
-			TrackTransfers: tr.trackTransfers,
-			Faults:         inj,
-			Tenant:         sp.ID,
-			OnComplete:     func() { departTenant(k, tr) },
+			Initial:    initial,
+			Images:     tr.images,
+			Iterations: sp.Iterations,
+			Faults:     inj,
+			Tenant:     sp.ID,
+			OnComplete: func() { departTenant(k, tr) },
 		})
 		tr.eng = eng
 		tr.policy.Attach(inst, eng)

@@ -61,13 +61,6 @@ type Config struct {
 	// Iterations is the number of partitions to combine (<= len(Images[s])).
 	Iterations int
 
-	ControlBytes    int64
-	StateBytes      int64
-	ComposePerPixel time.Duration
-
-	// TrackTransfers records every data transfer for protocol tests.
-	TrackTransfers bool
-
 	// Faults is the fault plan's injector, or nil for a fault-free run. With
 	// it, every input fetch arms a demand-retry timer and server and operator
 	// processes linger after the last iteration to re-serve stragglers;
@@ -88,16 +81,6 @@ type Config struct {
 	// the engine completes or aborts — the multi-tenant harness's departure
 	// hook.
 	OnComplete func()
-}
-
-// TransferRecord describes one data-message transfer, for protocol analysis.
-type TransferRecord struct {
-	Iter     int
-	From, To plan.NodeID
-	FromHost netmodel.HostID
-	ToHost   netmodel.HostID
-	Bytes    int64
-	At       sim.Time
 }
 
 // MoveRecord describes one operator relocation.
@@ -122,8 +105,6 @@ type Result struct {
 	Moves     int
 	Switches  int
 	Forwarded int
-	// DataTransfers is populated when Config.TrackTransfers is set.
-	DataTransfers []TransferRecord
 	// MoveLog records every relocation.
 	MoveLog []MoveRecord
 
@@ -187,15 +168,6 @@ func New(cfg Config) *Engine {
 		if len(seq) < cfg.Iterations {
 			panic(fmt.Sprintf("dataflow: server %d has %d images, need %d", s, len(seq), cfg.Iterations))
 		}
-	}
-	if cfg.ControlBytes <= 0 {
-		cfg.ControlBytes = DefaultControlBytes
-	}
-	if cfg.StateBytes <= 0 {
-		cfg.StateBytes = DefaultStateBytes
-	}
-	if cfg.ComposePerPixel <= 0 {
-		cfg.ComposePerPixel = netmodel.DefaultComposePerPixel
 	}
 	t := cfg.Tree
 	e := &Engine{

@@ -9,6 +9,7 @@ import (
 	"wadc/internal/netmodel"
 	"wadc/internal/plan"
 	"wadc/internal/sim"
+	"wadc/internal/telemetry"
 	"wadc/internal/trace"
 	"wadc/internal/workload"
 )
@@ -55,12 +56,42 @@ func newRig(servers, iters int, bw trace.Bandwidth, imageBytes int64) *testRig {
 func (r *testRig) engine(cfg func(*Config)) *Engine {
 	c := Config{
 		Net: r.net, Mon: r.mon, Tree: r.tree, Initial: r.init,
-		Images: r.images, TrackTransfers: true,
+		Images: r.images,
 	}
 	if cfg != nil {
 		cfg(&c)
 	}
 	return New(c)
+}
+
+// transfer is one data message, as its data-served event reports it: node
+// From served iteration Iter from host FromHost to its consumer To (the
+// node's parent in the tree) on host ToHost.
+type transfer struct {
+	Iter             int
+	From, To         plan.NodeID
+	FromHost, ToHost netmodel.HostID
+}
+
+// recordTransfers attaches a telemetry recorder to the rig's kernel (call it
+// before the engine starts); the returned function lists the data transfers
+// recorded so far, in serve order.
+func (r *testRig) recordTransfers() func() []transfer {
+	rec := &telemetry.Recorder{}
+	r.k.AddSink(rec)
+	return func() []transfer {
+		var out []transfer
+		for _, ev := range rec.Events() {
+			if ev.Kind == telemetry.KindDataServed {
+				from := plan.NodeID(ev.Node)
+				out = append(out, transfer{
+					Iter: int(ev.Iter), From: from, To: r.tree.Node(from).Parent,
+					FromHost: netmodel.HostID(ev.Host), ToHost: netmodel.HostID(ev.Peer),
+				})
+			}
+		}
+		return out
+	}
 }
 
 func (r *testRig) run(t *testing.T, e *Engine) Result {
@@ -84,6 +115,7 @@ func TestDownloadAllSingleIterationTiming(t *testing.T) {
 	//   s1 data [1.16953125, 2.21953125], compose 0.917504s
 	//   => 3.137035s.
 	r := newRig(2, 1, 128*1024, 128*1024)
+	transfers := r.recordTransfers()
 	e := r.engine(nil)
 	res := r.run(t, e)
 	if len(res.Arrivals) != 1 {
@@ -95,7 +127,7 @@ func TestDownloadAllSingleIterationTiming(t *testing.T) {
 	}
 	// Two remote data transfers (server->client); op->client is local.
 	dataCount := 0
-	for _, tr := range res.DataTransfers {
+	for _, tr := range transfers() {
 		if tr.FromHost != tr.ToHost {
 			dataCount++
 		}
@@ -149,6 +181,7 @@ func TestDeterministicArrivals(t *testing.T) {
 
 func TestWindowHookMove(t *testing.T) {
 	r := newRig(2, 5, 64*1024, 64*1024)
+	transfers := r.recordTransfers()
 	e := r.engine(nil)
 	op := r.tree.Operators()[0]
 	moved := false
@@ -172,7 +205,7 @@ func TestWindowHookMove(t *testing.T) {
 	}
 	// After the move, server 0's data is local to the operator: its
 	// transfers for iterations > 1 must be host-local.
-	for _, tr := range res.DataTransfers {
+	for _, tr := range transfers() {
 		if tr.Iter >= 3 && tr.From == r.tree.Servers()[0] {
 			if tr.FromHost != 0 || tr.ToHost != 0 {
 				t.Errorf("iter %d server0 transfer %d->%d, want local", tr.Iter, tr.FromHost, tr.ToHost)
@@ -189,6 +222,7 @@ func TestBarrierSwitchAtomicPerIteration(t *testing.T) {
 	// transfer must travel an edge of the old placement or of the new
 	// placement — never a link present in neither.
 	r := newRig(4, 12, 64*1024, 64*1024)
+	transfers := r.recordTransfers()
 	e := r.engine(nil)
 	oldPl := r.init.Clone()
 	newPl := r.init.Clone()
@@ -217,7 +251,7 @@ func TestBarrierSwitchAtomicPerIteration(t *testing.T) {
 	// the two placements, and the assignment must be monotone: old ... old,
 	// new ... new.
 	perIter := map[int]string{}
-	for _, tr := range res.DataTransfers {
+	for _, tr := range transfers() {
 		of, ot := edgeHosts(oldPl, tr.From, tr.To)
 		nf, nt := edgeHosts(newPl, tr.From, tr.To)
 		isOld := tr.FromHost == of && tr.ToHost == ot

@@ -191,7 +191,7 @@ func (n *node) moveTo(p *sim.Proc, target netmodel.HostID, extraBytes int64, bar
 	}
 	e.cfg.Net.Send(p, &netmodel.Message{
 		Src: oldHost, Dst: target, Port: xfer,
-		Size: e.cfg.StateBytes + extraBytes, Prio: sim.PriorityControl,
+		Size: DefaultStateBytes + extraBytes, Prio: sim.PriorityControl,
 		Payload: &envelope{kind: kindMoveNotice, from: n.id},
 	})
 
@@ -210,7 +210,7 @@ func (n *node) moveTo(p *sim.Proc, target netmodel.HostID, extraBytes int64, bar
 		prio = sim.PriorityBarrier
 	}
 	parent := e.cfg.Tree.Node(n.id).Parent
-	n.send(p, n.neighbor[parent], &envelope{kind: kindMoveNotice}, e.cfg.ControlBytes, prio)
+	n.send(p, n.neighbor[parent], &envelope{kind: kindMoveNotice}, DefaultControlBytes, prio)
 
 	e.spawnForwarder(n, oldHost, oldMB)
 	e.res.Moves++
@@ -225,7 +225,7 @@ func (n *node) moveTo(p *sim.Proc, target netmodel.HostID, extraBytes int64, bar
 		e.k.Emit(telemetry.Event{
 			Kind: telemetry.KindRelocationCommitted,
 			Node: int32(n.id), Host: int32(oldHost), Peer: int32(target),
-			Bytes: e.cfg.StateBytes + extraBytes, Aux: cause,
+			Bytes: DefaultStateBytes + extraBytes, Aux: cause,
 		})
 	}
 }
@@ -275,13 +275,6 @@ func (n *node) sendData(p *sim.Proc, demand *envelope) {
 	if n.held == nil {
 		panic(fmt.Sprintf("dataflow: node %d has nothing to send", n.id))
 	}
-	if n.e.cfg.TrackTransfers {
-		n.e.res.DataTransfers = append(n.e.res.DataTransfers, TransferRecord{
-			Iter: n.held.iter, From: n.id, To: demand.from,
-			FromHost: n.host, ToHost: demand.fromAddr.host,
-			Bytes: n.held.bytes, At: n.e.k.Now(),
-		})
-	}
 	if n.e.tel != nil {
 		n.e.k.Emit(telemetry.Event{
 			Kind: telemetry.KindDataServed,
@@ -303,7 +296,7 @@ func (n *node) sendData(p *sim.Proc, demand *envelope) {
 // wait included.
 //
 //lint:hotpath
-//lint:allocbudget 1 one heldData node per image read; BENCH dataflow=1906 allocs/op are dominated by per-block envelopes
+//lint:allocbudget 1 one heldData node per image read; BENCH dataflow=1523 allocs/op are dominated by per-block envelopes
 func (n *node) readImage(p *sim.Proc, it int, bytes int64) {
 	e := n.e
 	start := e.k.Now()
@@ -420,7 +413,7 @@ func (n *node) demandChild(p *sim.Proc, c plan.NodeID, markLater bool) {
 		consumerCritical: n.critical,
 		prop:             f.prop,
 	}
-	n.send(p, n.neighbor[c], env, n.e.cfg.ControlBytes, sim.PriorityControl)
+	n.send(p, n.neighbor[c], env, DefaultControlBytes, sim.PriorityControl)
 }
 
 // produce computes the operator's output for iteration it: it demands data
@@ -449,7 +442,7 @@ func (n *node) produce(p *sim.Proc, it int) {
 			Iter: int32(it), Bytes: f.got[f.last], Dur: int64(gateAt - fetchStart),
 		})
 	}
-	dur := workload.ComposeDuration(f.got[0], f.got[1], e.cfg.ComposePerPixel)
+	dur := workload.DefaultComposeDuration(f.got[0], f.got[1])
 	e.cfg.Net.Host(n.host).Compute(p, dur)
 	now := e.k.Now()
 	n.held = &heldData{iter: it, bytes: workload.ComposeBytes(f.got[0], f.got[1]), readyAt: now}
@@ -566,7 +559,6 @@ func (n *node) serverLoop(p *sim.Proc) {
 // with prop-less demands, and those were precisely the ones that could
 // deadlock the barrier when the original report was dropped.
 func (n *node) barrierWait(p *sim.Proc, client addr, propID, it int) {
-	e := n.e
 	if n.seenProps == nil {
 		n.seenProps = make(map[int]bool)
 	}
@@ -576,14 +568,14 @@ func (n *node) barrierWait(p *sim.Proc, client addr, propID, it int) {
 	if !n.seenProps[propID] {
 		n.seenProps[propID] = true
 		rep := &envelope{kind: kindIterReport, iter: it, propID: propID}
-		n.send(p, client, rep, e.cfg.ControlBytes, sim.PriorityBarrier)
+		n.send(p, client, rep, DefaultControlBytes, sim.PriorityBarrier)
 	}
 	for n.order == nil || n.order.id < propID {
 		env := n.recvNew(p)
 		switch env.kind {
 		case kindDemand:
 			rep := &envelope{kind: kindIterReport, iter: env.iter, propID: propID}
-			n.send(p, client, rep, e.cfg.ControlBytes, sim.PriorityBarrier)
+			n.send(p, client, rep, DefaultControlBytes, sim.PriorityBarrier)
 			n.pendingMsgs = append(n.pendingMsgs, env)
 		case kindData:
 			n.pendingMsgs = append(n.pendingMsgs, env)
@@ -643,7 +635,7 @@ func (n *node) handleIterReport(p *sim.Proc, env *envelope) {
 		if e.lastOrder != nil && env.propID == e.lastOrder.id {
 			n.send(p, e.nodes[env.from].address(),
 				&envelope{kind: kindSwitchAt, iter: e.lastOrder.iter, order: e.lastOrder},
-				e.cfg.ControlBytes, sim.PriorityBarrier)
+				DefaultControlBytes, sim.PriorityBarrier)
 		}
 		return
 	}
@@ -691,7 +683,7 @@ func (n *node) broadcastOrder(p *sim.Proc, order *switchOrder) {
 	for _, id := range targets {
 		dst := e.nodes[id].address()
 		n.send(p, dst, &envelope{kind: kindSwitchAt, iter: order.iter, order: order},
-			e.cfg.ControlBytes, sim.PriorityBarrier)
+			DefaultControlBytes, sim.PriorityBarrier)
 	}
 	n.order = order // the client flips its own expectation too
 	e.lastOrder = order

@@ -60,6 +60,7 @@ func TestLeftDeepBarrierSwitch(t *testing.T) {
 	// to reach the deepest server and the switch fires depth+1 past the max
 	// report; assert the Figure-3 property still holds on the deep pipeline.
 	r := leftDeepRig(5, 24, 64*1024)
+	transfers := r.recordTransfers()
 	e := r.engine(nil)
 	oldPl := r.init.Clone()
 	newPl := r.init.Clone()
@@ -78,7 +79,7 @@ func TestLeftDeepBarrierSwitch(t *testing.T) {
 	if res.Switches != 1 {
 		t.Fatalf("switches = %d", res.Switches)
 	}
-	for _, tr := range res.DataTransfers {
+	for _, tr := range transfers() {
 		of, ot := oldPl.Loc(tr.From), oldPl.Loc(tr.To)
 		nf, nt := newPl.Loc(tr.From), newPl.Loc(tr.To)
 		isOld := tr.FromHost == of && tr.ToHost == ot
@@ -137,6 +138,7 @@ func TestSwitchWithCatchUpMove(t *testing.T) {
 	// records barrier moves and every barrier move happened at or before
 	// the first post-switch data transfer of its operator.
 	r := newRig(4, 16, 64*1024, 64*1024)
+	transfers := r.recordTransfers()
 	e := r.engine(nil)
 	newPl := r.init.Clone()
 	for i, op := range r.tree.Operators() {
@@ -162,7 +164,7 @@ func TestSwitchWithCatchUpMove(t *testing.T) {
 	// Data transfers from a moved operator at iterations >= the switch must
 	// originate from its new host.
 	firstNew := map[plan.NodeID]int{}
-	for _, tr := range res.DataTransfers {
+	for _, tr := range transfers() {
 		if r.tree.Node(tr.From).Kind != plan.Operator {
 			continue
 		}

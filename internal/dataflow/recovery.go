@@ -58,6 +58,7 @@ package dataflow
 import (
 	"fmt"
 
+	"wadc/internal/faults"
 	"wadc/internal/netmodel"
 	"wadc/internal/obs"
 	"wadc/internal/plan"
@@ -217,7 +218,7 @@ func (n *node) scheduleRetry() {
 		return
 	}
 	f := &n.fetch
-	d := in.Retry().Delay(f.attempt, in.Rand())
+	d := faults.RetryDelay(f.attempt, in.Rand())
 	seq := f.seq
 	f.timer = n.e.k.After(d, func() {
 		n.mailbox().Send(&netmodel.Message{

@@ -37,84 +37,77 @@ func Ablations(o Options) (*AblationResult, error) {
 	pool := trace.NewStudyPool(o.Seed)
 	assignments := GenerateAssignments(pool, o.Configs, o.Servers, o.Seed)
 
-	mean := func(mutate func(*core.RunConfig)) (float64, error) {
-		var sum float64
-		for _, a := range assignments {
-			seed := runSeed(o.Seed, a.Index)
-			cfg := core.RunConfig{
-				Seed: seed, NumServers: o.Servers, Shape: core.CompleteBinaryTree,
-				Links:    a.LinkFn(),
-				Policy:   &placement.Global{Period: o.Period},
-				Workload: o.workloadConfig(),
-			}
-			if mutate != nil {
-				mutate(&cfg)
-			}
-			res, err := core.Run(cfg)
-			if err != nil {
-				return 0, fmt.Errorf("ablation config %d: %w", a.Index, err)
-			}
-			sum += res.Completion.Seconds()
-		}
-		return sum / float64(len(assignments)), nil
-	}
-
-	base, err := mean(nil)
-	if err != nil {
-		return nil, err
-	}
-	r := &AblationResult{Opts: o}
-	add := func(name, baseLabel string, baseVal float64, varLabel string, mutate func(*core.RunConfig)) error {
-		v, err := mean(mutate)
-		if err != nil {
-			return err
-		}
-		r.Rows = append(r.Rows, AblationRow{
-			Name: name, Baseline: baseLabel, BaselineMeanSec: baseVal,
-			Variant: varLabel, VariantMeanSec: v,
-			DeltaPct: (v - base) / base * 100,
-		})
-		return nil
-	}
-	if err := add("barrier priority (§2.2)", "priority on", base, "flat FIFO",
-		func(c *core.RunConfig) { c.FlatPriorities = true }); err != nil {
-		return nil, err
-	}
-	if err := add("monitoring fidelity", "timed probes + 40s cache", base, "oracle knowledge",
+	// Each variant edits the global-algorithm baseline run; a nil edit is
+	// the baseline itself.
+	variants := []func(*core.RunConfig){
+		nil,
+		func(c *core.RunConfig) { c.FlatPriorities = true },
 		func(c *core.RunConfig) {
 			mc := monitor.DefaultConfig()
 			mc.ProbeMode = monitor.ProbeOracle
 			c.Monitor = mc
-		}); err != nil {
-		return nil, err
-	}
-	if err := add("cache timeout T_thres", "40s (paper)", base, "5m (stale tolerated)",
+		},
 		func(c *core.RunConfig) {
 			mc := monitor.DefaultConfig()
 			mc.TThres = 5 * time.Minute
 			c.Monitor = mc
-		}); err != nil {
-		return nil, err
+		},
+		// The staggered-epoch ablation compares local against local, so it
+		// needs its own baseline.
+		func(c *core.RunConfig) { c.Policy = &placement.Local{Period: o.Period, Seed: c.Seed} },
+		func(c *core.RunConfig) { c.Policy = &placement.Local{Period: o.Period, Seed: c.Seed, Unstagger: true} },
 	}
-	// The staggered-epoch ablation compares local against local, so it needs
-	// its own baseline.
-	localBase, err := mean(func(c *core.RunConfig) {
-		c.Policy = &placement.Local{Period: o.Period, Seed: c.Seed}
+	// Cell i is variant i/len(assignments) on configuration
+	// i%len(assignments).
+	secs := make([]float64, len(variants)*len(assignments))
+	err := runCells(o, len(secs), func(i int) (int64, error) {
+		a := assignments[i%len(assignments)]
+		seed := runSeed(o.Seed, a.Index)
+		cfg := core.RunConfig{
+			Seed: seed, NumServers: o.Servers, Shape: core.CompleteBinaryTree,
+			Links:    a.LinkFn(),
+			Policy:   &placement.Global{Period: o.Period},
+			Workload: o.workloadConfig(),
+		}
+		if mutate := variants[i/len(assignments)]; mutate != nil {
+			mutate(&cfg)
+		}
+		res, err := core.Run(cfg)
+		if err != nil {
+			return 0, fmt.Errorf("ablation config %d: %w", a.Index, err)
+		}
+		secs[i] = res.Completion.Seconds()
+		return res.KernelEvents, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	localVar, err := mean(func(c *core.RunConfig) {
-		c.Policy = &placement.Local{Period: o.Period, Seed: c.Seed, Unstagger: true}
-	})
-	if err != nil {
-		return nil, err
+	// mean sums variant v's completions in configuration order.
+	mean := func(v int) float64 {
+		var sum float64
+		for _, s := range secs[v*len(assignments) : (v+1)*len(assignments)] {
+			sum += s
+		}
+		return sum / float64(len(assignments))
 	}
-	r.Rows = append(r.Rows, AblationRow{
-		Name: "staggered epochs (§2.3, local)", Baseline: "staggered", BaselineMeanSec: localBase,
-		Variant: "unstaggered", VariantMeanSec: localVar,
-		DeltaPct: (localVar - localBase) / localBase * 100,
-	})
+
+	r := &AblationResult{Opts: o}
+	for _, row := range []struct {
+		name, baseLabel, varLabel string
+		base, variant             int
+	}{
+		{"barrier priority (§2.2)", "priority on", "flat FIFO", 0, 1},
+		{"monitoring fidelity", "timed probes + 40s cache", "oracle knowledge", 0, 2},
+		{"cache timeout T_thres", "40s (paper)", "5m (stale tolerated)", 0, 3},
+		{"staggered epochs (§2.3, local)", "staggered", "unstaggered", 4, 5},
+	} {
+		b, v := mean(row.base), mean(row.variant)
+		r.Rows = append(r.Rows, AblationRow{
+			Name: row.name, Baseline: row.baseLabel, BaselineMeanSec: b,
+			Variant: row.varLabel, VariantMeanSec: v,
+			DeltaPct: (v - b) / b * 100,
+		})
+	}
 	return r, nil
 }
 

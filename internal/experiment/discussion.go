@@ -12,6 +12,7 @@ import (
 	"wadc/internal/plan"
 	"wadc/internal/sim"
 	"wadc/internal/trace"
+	"wadc/internal/workload"
 )
 
 // DiscussionResult reproduces the paper's §5 discussion: why the local
@@ -37,10 +38,36 @@ func Discussion(o Options) (*DiscussionResult, error) {
 	o = o.withDefaults()
 	pool := trace.NewStudyPool(o.Seed)
 	assignments := GenerateAssignments(pool, o.Configs, o.Servers, o.Seed)
-	model := plan.DefaultCostModel(o.MeanImageBytes)
+	model := plan.DefaultCostModel(workload.DefaultMeanBytes)
 	hosts := make([]netmodel.HostID, o.Servers+1)
 	for i := range hosts {
 		hosts[i] = netmodel.HostID(i)
+	}
+	algs := StandardAlgorithms()[2:] // global and local
+	// Cell i is configuration i/len(algs) under algorithm i%len(algs).
+	type score struct{ gap, within, moves float64 }
+	scores := make([]score, len(assignments)*len(algs))
+	err := runCells(o, len(scores), func(i int) (int64, error) {
+		a, alg := assignments[i/len(algs)], algs[i%len(algs)]
+		seed := runSeed(o.Seed, a.Index)
+		res, err := core.Run(core.RunConfig{
+			Seed: seed, NumServers: o.Servers, Shape: core.CompleteBinaryTree,
+			Links: a.LinkFn(), Policy: alg.New(o, seed),
+			Workload: o.workloadConfig(),
+		})
+		if err != nil {
+			return 0, fmt.Errorf("discussion config %d %s: %w", a.Index, alg.Name, err)
+		}
+		oracle := analysis.OracleFromLinks(func(x, y netmodel.HostID) *trace.Trace {
+			return a.Trace(x, y)
+		})
+		tl := analysis.NewTimeline(res.InitialPlacement, res.MoveLog)
+		rep := analysis.Convergence(tl, oracle, model, hosts, res.Completion, 2*sim.Minute)
+		scores[i] = score{rep.MeanGap, rep.WithinTenPct, float64(res.Moves)}
+		return res.KernelEvents, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	r := &DiscussionResult{
 		Opts:         o,
@@ -48,33 +75,11 @@ func Discussion(o Options) (*DiscussionResult, error) {
 		WithinTenPct: map[string][]float64{},
 		Moves:        map[string][]float64{},
 	}
-	algs := []struct {
-		name string
-		mk   func(seed int64) placement.Policy
-	}{
-		{"global", func(seed int64) placement.Policy { return &placement.Global{Period: o.Period} }},
-		{"local", func(seed int64) placement.Policy { return &placement.Local{Period: o.Period, Seed: seed} }},
-	}
-	for _, a := range assignments {
-		oracle := analysis.OracleFromLinks(func(x, y netmodel.HostID) *trace.Trace {
-			return a.Trace(x, y)
-		})
-		for _, alg := range algs {
-			seed := runSeed(o.Seed, a.Index)
-			res, err := core.Run(core.RunConfig{
-				Seed: seed, NumServers: o.Servers, Shape: core.CompleteBinaryTree,
-				Links: a.LinkFn(), Policy: alg.mk(seed),
-				Workload: o.workloadConfig(),
-			})
-			if err != nil {
-				return nil, fmt.Errorf("discussion config %d %s: %w", a.Index, alg.name, err)
-			}
-			tl := analysis.NewTimeline(res.InitialPlacement, res.MoveLog)
-			rep := analysis.Convergence(tl, oracle, model, hosts, res.Completion, 2*sim.Minute)
-			r.Gap[alg.name] = append(r.Gap[alg.name], rep.MeanGap)
-			r.WithinTenPct[alg.name] = append(r.WithinTenPct[alg.name], rep.WithinTenPct)
-			r.Moves[alg.name] = append(r.Moves[alg.name], float64(res.Moves))
-		}
+	for i, sc := range scores {
+		name := algs[i%len(algs)].Name
+		r.Gap[name] = append(r.Gap[name], sc.gap)
+		r.WithinTenPct[name] = append(r.WithinTenPct[name], sc.within)
+		r.Moves[name] = append(r.Moves[name], sc.moves)
 	}
 	return r, nil
 }

@@ -1,11 +1,9 @@
 package experiment
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 
 	"wadc/internal/analysis"
@@ -106,64 +104,48 @@ func FigureEstimator(o Options) (*FigEstimatorResult, error) {
 		}
 	}
 	cells := make([]EstimatorCell, len(jobs))
-	errs := make([]error, len(jobs))
-	if o.Perf != nil {
-		o.Perf.AddWork(int64(len(jobs)))
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, o.Workers)
-	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j cellJob) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			rec := &telemetry.Recorder{}
-			res, err := core.Run(core.RunConfig{
-				Seed:       o.Seed*7919 + int64(i),
-				NumServers: o.Servers,
-				Shape:      o.Shape,
-				Links:      j.links,
-				Policy:     &placement.Global{Period: o.Period},
-				Workload:   o.workloadConfig(),
-				Monitor: monitor.Config{
-					TThres:          j.tthres,
-					PiggybackBudget: j.k * monitor.DefaultEntrySize,
-				},
-				Observe: core.Observe{Telemetry: telemetry.ModelOnly(rec), Estimates: true},
-			})
-			if err != nil {
-				errs[i] = fmt.Errorf("estimator cell %s/%v/k=%d: %w", j.regime.Name, j.tthres, j.k, err)
-				return
+	err := runCells(o, len(jobs), func(i int) (int64, error) {
+		j := jobs[i]
+		rec := &telemetry.Recorder{}
+		res, err := core.Run(core.RunConfig{
+			Seed:       runSeed(o.Seed, i),
+			NumServers: o.Servers,
+			Shape:      core.CompleteBinaryTree,
+			Links:      j.links,
+			Policy:     &placement.Global{Period: o.Period},
+			Workload:   o.workloadConfig(),
+			Monitor: monitor.Config{
+				TThres:          j.tthres,
+				PiggybackBudget: j.k * monitor.DefaultEntrySize,
+			},
+			Observe: core.Observe{Telemetry: telemetry.ModelOnly(rec), Estimates: true},
+		})
+		if err != nil {
+			return 0, fmt.Errorf("estimator cell %s/%v/k=%d: %w", j.regime.Name, j.tthres, j.k, err)
+		}
+		rep := analysis.BuildEstimatorReport(rec.Events())
+		cell := EstimatorCell{
+			Regime: j.regime.Name, SwitchProb: j.regime.SwitchProb,
+			TThres: j.tthres, PiggybackEntries: j.k,
+			Uses:       rep.Uses,
+			Detections: rep.Detections,
+			MeanLagSec: rep.MeanLag, P95LagSec: rep.P95Lag,
+			Probes:        res.Probes,
+			CompletionSec: res.Completion.Seconds(),
+		}
+		for _, p := range rep.Profiles {
+			if p.Algorithm == "global" {
+				cell.MeanAbsErr = p.MeanAbsErr
+				cell.P95AbsErr = p.P95AbsErr
+				cell.ProbeFrac = p.ProbeFraction
+				cell.StaleFrac = p.StaleFraction
+				cell.MeanAgeSec = p.MeanAge
 			}
-			if o.Perf != nil {
-				o.Perf.AddEvents(res.KernelEvents)
-				o.Perf.WorkDone(1)
-			}
-			rep := analysis.BuildEstimatorReport(rec.Events())
-			cell := EstimatorCell{
-				Regime: j.regime.Name, SwitchProb: j.regime.SwitchProb,
-				TThres: j.tthres, PiggybackEntries: j.k,
-				Uses:       rep.Uses,
-				Detections: rep.Detections,
-				MeanLagSec: rep.MeanLag, P95LagSec: rep.P95Lag,
-				Probes:        res.Probes,
-				CompletionSec: res.Completion.Seconds(),
-			}
-			for _, p := range rep.Profiles {
-				if p.Algorithm == "global" {
-					cell.MeanAbsErr = p.MeanAbsErr
-					cell.P95AbsErr = p.P95AbsErr
-					cell.ProbeFrac = p.ProbeFraction
-					cell.StaleFrac = p.StaleFraction
-					cell.MeanAgeSec = p.MeanAge
-				}
-			}
-			cells[i] = cell
-		}(i, j)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+		}
+		cells[i] = cell
+		return res.KernelEvents, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return &FigEstimatorResult{Opts: o, Cells: cells}, nil

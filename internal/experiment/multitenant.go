@@ -80,7 +80,7 @@ func MultiTenant(o Options, counts []int) (*MultiTenantResult, error) {
 			Tenants:    specs,
 			Workload: workload.Config{
 				ImagesPerServer: iters,
-				MeanBytes:       o.MeanImageBytes,
+				MeanBytes:       workload.DefaultMeanBytes,
 				SpreadFrac:      workload.DefaultSpreadFrac,
 			},
 			Period: o.Period,

@@ -30,13 +30,8 @@ type Options struct {
 	Seed int64
 	// Period is the on-line algorithms' relocation period (paper: 10 min).
 	Period time.Duration
-	// Shape is the combination order (default complete binary).
-	Shape core.TreeShape
 	// Workers bounds concurrent simulations (default: NumCPU).
 	Workers int
-	// MeanImageBytes overrides the workload's mean image size (paper:
-	// 128 KB).
-	MeanImageBytes int64
 	// Faults applies the same fault-injection configuration to every run of
 	// the sweep (zero disables it). Each run derives its own fault seed from
 	// its run seed, so configurations fail differently but reproducibly.
@@ -75,16 +70,13 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.NumCPU()
 	}
-	if o.MeanImageBytes <= 0 {
-		o.MeanImageBytes = workload.DefaultMeanBytes
-	}
 	return o
 }
 
 func (o Options) workloadConfig() workload.Config {
 	return workload.Config{
 		ImagesPerServer: o.Iterations,
-		MeanBytes:       o.MeanImageBytes,
+		MeanBytes:       workload.DefaultMeanBytes,
 		SpreadFrac:      workload.DefaultSpreadFrac,
 	}
 }
@@ -175,93 +167,93 @@ func RunSweep(o Options, shape core.TreeShape, algs []AlgSpec, pool *trace.Pool)
 	}
 	assignments := GenerateAssignments(pool, o.Configs, o.Servers, o.Seed)
 
-	type job struct {
-		cfg int
-		alg int
-	}
-	jobs := make([]job, 0, len(assignments)*len(algs))
-	for c := range assignments {
-		for a := range algs {
-			jobs = append(jobs, job{cfg: c, alg: a})
+	// Cell i is configuration i/len(algs) under algorithm i%len(algs).
+	results := make([]Cell, len(assignments)*len(algs))
+	err := runCells(o, len(results), func(i int) (int64, error) {
+		c, a := i/len(algs), algs[i%len(algs)]
+		seed := runSeed(o.Seed, c)
+		var rec *telemetry.Recorder
+		var col *telemetry.Collector
+		var sink telemetry.Sink
+		if o.TelemetryDir != "" {
+			rec, col = &telemetry.Recorder{}, telemetry.NewCollector()
+			sink = telemetry.Multi(col, telemetry.ModelOnly(rec))
 		}
-	}
-	results := make([]Cell, len(jobs))
-	errs := make([]error, len(jobs))
-	if o.Perf != nil {
-		o.Perf.AddWork(int64(len(jobs)))
-	}
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, o.Workers)
-	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j job) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			a := algs[j.alg]
-			seed := runSeed(o.Seed, j.cfg)
-			var rec *telemetry.Recorder
-			var col *telemetry.Collector
-			var sink telemetry.Sink
-			if o.TelemetryDir != "" {
-				rec, col = &telemetry.Recorder{}, telemetry.NewCollector()
-				sink = telemetry.Multi(col, telemetry.ModelOnly(rec))
-			}
-			res, err := core.Run(core.RunConfig{
-				Seed:       seed,
-				NumServers: o.Servers,
-				Shape:      shape,
-				Links:      assignments[j.cfg].LinkFn(),
-				Policy:     a.New(o, seed),
-				Workload:   o.workloadConfig(),
-				Faults:     o.Faults,
-				Observe:    core.Observe{Telemetry: sink},
-			})
-			if err != nil {
-				errs[i] = fmt.Errorf("config %d, %s: %w", j.cfg, a.Name, err)
-				return
-			}
-			if o.Perf != nil {
-				o.Perf.AddEvents(res.KernelEvents)
-				o.Perf.WorkDone(1)
-			}
-			if o.TelemetryDir != "" {
-				if err := writeCellTelemetry(o.TelemetryDir, j.cfg, a.Name, rec, col.Snapshot()); err != nil {
-					errs[i] = fmt.Errorf("config %d, %s: %w", j.cfg, a.Name, err)
-					return
-				}
-			}
-			results[i] = Cell{
-				Config:           j.cfg,
-				Algorithm:        a.Name,
-				CompletionSec:    res.Completion.Seconds(),
-				MeanInterarrival: res.MeanInterarrival.Seconds(),
-				Moves:            res.Moves,
-				Switches:         res.Switches,
-				Forwarded:        res.Forwarded,
-				Probes:           res.Probes,
-				CrashesFired:     res.CrashesFired,
-				Retries:          res.Retries,
-				Reinstantiations: res.Reinstantiations,
-				Dropped:          res.MessagesDropped,
-				Duplicated:       res.MessagesDuplicated,
-			}
-		}(i, j)
-	}
-	wg.Wait()
-	// Report every failed job, not just the first: a sweep that dies on
-	// config 3 may also be dying on configs 40 and 200 for a different
-	// reason, and one error at a time makes that needlessly slow to see.
-	if err := errors.Join(errs...); err != nil {
+		res, err := core.Run(core.RunConfig{
+			Seed:       seed,
+			NumServers: o.Servers,
+			Shape:      shape,
+			Links:      assignments[c].LinkFn(),
+			Policy:     a.New(o, seed),
+			Workload:   o.workloadConfig(),
+			Faults:     o.Faults,
+			Observe:    core.Observe{Telemetry: sink},
+		})
+		if err == nil && o.TelemetryDir != "" {
+			err = writeCellTelemetry(o.TelemetryDir, c, a.Name, rec, col.Snapshot())
+		}
+		if err != nil {
+			return 0, fmt.Errorf("config %d, %s: %w", c, a.Name, err)
+		}
+		results[i] = Cell{
+			Config:           c,
+			Algorithm:        a.Name,
+			CompletionSec:    res.Completion.Seconds(),
+			MeanInterarrival: res.MeanInterarrival.Seconds(),
+			Moves:            res.Moves,
+			Switches:         res.Switches,
+			Forwarded:        res.Forwarded,
+			Probes:           res.Probes,
+			CrashesFired:     res.CrashesFired,
+			Retries:          res.Retries,
+			Reinstantiations: res.Reinstantiations,
+			Dropped:          res.MessagesDropped,
+			Duplicated:       res.MessagesDuplicated,
+		}
+		return res.KernelEvents, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	sweep := &Sweep{Opts: o, Cells: make(map[string][]Cell)}
-	for i, j := range jobs {
-		name := algs[j.alg].Name
-		sweep.Cells[name] = append(sweep.Cells[name], results[i])
+	for _, cell := range results {
+		sweep.Cells[cell.Algorithm] = append(sweep.Cells[cell.Algorithm], cell)
 	}
 	return sweep, nil
+}
+
+// runCells runs cells 0..n-1 on at most o.Workers goroutines. cell stores
+// its own result and returns the kernel events its run scheduled; o.Perf, if
+// set, counts the cells as work and their events. Every failed cell is
+// reported, not just the first: a sweep that dies on config 3 may also be
+// dying on configs 40 and 200 for a different reason, and one error at a
+// time makes that needlessly slow to see.
+func runCells(o Options, n int, cell func(i int) (events int64, err error)) error {
+	errs := make([]error, n)
+	if o.Perf != nil {
+		o.Perf.AddWork(int64(n))
+	}
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, o.Workers)
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			events, err := cell(i)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			if o.Perf != nil {
+				o.Perf.AddEvents(events)
+				o.Perf.WorkDone(1)
+			}
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // writeCellTelemetry dumps one cell's event log and metric snapshot into dir.

@@ -1,12 +1,15 @@
 package experiment
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"wadc/internal/core"
 	"wadc/internal/metrics"
 	"wadc/internal/netmodel"
+	"wadc/internal/obs"
 	"wadc/internal/trace"
 )
 
@@ -121,6 +124,28 @@ func TestRunSweepDeterministic(t *testing.T) {
 				t.Errorf("%s cell %d nondeterministic", alg, i)
 			}
 		}
+	}
+}
+
+// TestRunCellsReportsEveryFailure: every failed cell's error is joined, and
+// o.Perf counts every cell as work but only finished cells as done, with
+// their kernel events.
+func TestRunCellsReportsEveryFailure(t *testing.T) {
+	o := Options{Workers: 2, Perf: obs.NewRecorder()}
+	err := runCells(o, 5, func(i int) (int64, error) {
+		if i%2 == 1 {
+			return 0, fmt.Errorf("cell %d failed", i)
+		}
+		return int64(10 * i), nil
+	})
+	for _, want := range []string{"cell 1 failed", "cell 3 failed"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("error %v does not report %q", err, want)
+		}
+	}
+	rep := o.Perf.Report()
+	if rep.WorkTotal != 5 || rep.WorkDone != 3 || rep.Events != 60 {
+		t.Errorf("work %d/%d, events %d; want 3/5 and 60", rep.WorkDone, rep.WorkTotal, rep.Events)
 	}
 }
 

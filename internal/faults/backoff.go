@@ -6,9 +6,9 @@ import (
 	"time"
 )
 
-// Backoff defaults, sized for WAN-scale transfers: image transfers on the
-// paper's slow links take tens of seconds, so the first retry must not fire
-// while a legitimate transfer is still in flight.
+// The demand-retry schedule, sized for WAN-scale transfers: image transfers
+// on the paper's slow links take tens of seconds, so the first retry must
+// not fire while a legitimate transfer is still in flight.
 const (
 	DefaultRetryBase   = 45 * time.Second
 	DefaultRetryFactor = 2.0
@@ -16,70 +16,18 @@ const (
 	DefaultRetryJitter = 0.25
 )
 
-// Backoff is the demand-retry schedule of the recovery layer: attempt n
-// waits min(Max, Base·Factorⁿ·(1+j)) where j is a deterministic jitter drawn
-// uniformly from [0, Jitter). Jitter is applied before the cap, which makes
-// the schedule monotone non-decreasing whenever Factor >= 1+Jitter (each
-// step's jitter-free minimum then clears the previous step's jittered
-// maximum, and at the cap both sides saturate to Max) and always bounded by
-// Max, even for degenerate parameters.
-type Backoff struct {
-	// Base is the delay before the first retry (DefaultRetryBase if zero).
-	Base time.Duration
-	// Factor multiplies the delay per attempt (DefaultRetryFactor if zero;
-	// values below 1 are raised to 1).
-	Factor float64
-	// Max caps the un-jittered delay (DefaultRetryMax if zero).
-	Max time.Duration
-	// Jitter is the fraction of random spread added on top, in [0, 1)
-	// (DefaultRetryJitter if zero; set negative to disable jitter).
-	Jitter float64
-}
-
-// WithDefaults fills zero fields with the package defaults. A completely
-// zero Backoff therefore yields the standard schedule.
-func (b Backoff) WithDefaults() Backoff {
-	if b.Base <= 0 {
-		b.Base = DefaultRetryBase
+// RetryDelay returns the recovery layer's wait before demand-retry attempt n
+// (0-based): min(Max, Base·Factorⁿ·(1+j)) with the DefaultRetry* constants,
+// where j is a jitter drawn uniformly from [0, Jitter) out of rng — the
+// simulation's seeded fault stream, so the same rng state always yields the
+// same delay — or 0 when rng is nil. Jitter is applied before the cap; since
+// Factor >= 1+Jitter, each step's jitter-free minimum clears the previous
+// step's jittered maximum, so the schedule never decreases and never exceeds
+// Max.
+func RetryDelay(attempt int, rng *rand.Rand) time.Duration {
+	d := float64(DefaultRetryBase) * math.Pow(DefaultRetryFactor, float64(max(attempt, 0)))
+	if rng != nil {
+		d *= 1 + DefaultRetryJitter*rng.Float64()
 	}
-	if b.Factor < 1 {
-		if b.Factor == 0 {
-			b.Factor = DefaultRetryFactor
-		} else {
-			b.Factor = 1
-		}
-	}
-	if b.Max <= 0 {
-		b.Max = DefaultRetryMax
-	}
-	switch {
-	case b.Jitter < 0:
-		b.Jitter = 0
-	case b.Jitter == 0, b.Jitter >= 1:
-		b.Jitter = DefaultRetryJitter
-	}
-	return b
-}
-
-// Delay returns the wait before retry attempt n (0-based). rng supplies the
-// jitter draw and must be the simulation's seeded stream (or nil for no
-// jitter); the same rng state always yields the same delay.
-func (b Backoff) Delay(attempt int, rng *rand.Rand) time.Duration {
-	b = b.WithDefaults()
-	if attempt < 0 {
-		attempt = 0
-	}
-	d := float64(b.Base) * math.Pow(b.Factor, float64(attempt))
-	if rng != nil && b.Jitter > 0 {
-		d *= 1 + b.Jitter*rng.Float64()
-	}
-	if d > float64(b.Max) {
-		d = float64(b.Max)
-	}
-	return time.Duration(d)
-}
-
-// Bound returns the largest delay Delay can ever produce.
-func (b Backoff) Bound() time.Duration {
-	return b.WithDefaults().Max
+	return time.Duration(min(d, float64(DefaultRetryMax)))
 }

@@ -7,28 +7,27 @@ import (
 	"time"
 )
 
-// arbitraryBackoff maps raw quick-generated integers onto a valid-but-varied
-// schedule whose Factor respects the monotonicity precondition
-// Factor >= 1+Jitter.
-func arbitraryBackoff(base, max uint16, factorC, jitterC uint8) Backoff {
-	jitter := float64(jitterC%80+1) / 100 // [0.01, 0.80]; 0 would default to 0.25
-	return Backoff{
-		Base:   time.Duration(base%10000+1) * time.Millisecond,
-		Factor: 1 + jitter + float64(factorC%30)/10, // >= 1+Jitter
-		Max:    time.Duration(max%60000+1)*time.Millisecond + 10*time.Second,
-		Jitter: jitter,
+// TestRetryDelayPinned pins the schedule the recovery layer draws, attempts
+// 0–5 from one rand.NewSource(7) stream: faulty runs replay their recorded
+// digests only while these values hold.
+func TestRetryDelayPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	want := []time.Duration{55337536791, 95208911416, 190862440517, 442040595693, 480000000000, 480000000000}
+	for n, w := range want {
+		if d := RetryDelay(n, rng); d != w {
+			t.Errorf("RetryDelay(%d) = %d, want %d", n, d, w)
+		}
 	}
 }
 
 func TestBackoffMonotoneProperty(t *testing.T) {
-	prop := func(base, max uint16, factorC, jitterC uint8, seed int64) bool {
-		b := arbitraryBackoff(base, max, factorC, jitterC)
+	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		prev := time.Duration(-1)
 		for n := 0; n < 40; n++ {
-			d := b.Delay(n, rng)
+			d := RetryDelay(n, rng)
 			if d < prev {
-				t.Logf("schedule %+v: delay(%d)=%v < delay(%d)=%v", b, n, d, n-1, prev)
+				t.Logf("seed %d: delay(%d)=%v < delay(%d)=%v", seed, n, d, n-1, prev)
 				return false
 			}
 			prev = d
@@ -41,11 +40,9 @@ func TestBackoffMonotoneProperty(t *testing.T) {
 }
 
 func TestBackoffBoundedProperty(t *testing.T) {
-	prop := func(base, max uint16, factorC, jitterC uint8, seed int64, attempt uint8) bool {
-		b := arbitraryBackoff(base, max, factorC, jitterC)
-		rng := rand.New(rand.NewSource(seed))
-		d := b.Delay(int(attempt), rng)
-		return d > 0 && d <= b.Bound()
+	prop := func(seed int64, attempt uint8) bool {
+		d := RetryDelay(int(attempt), rand.New(rand.NewSource(seed)))
+		return d > 0 && d <= DefaultRetryMax
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -53,16 +50,11 @@ func TestBackoffBoundedProperty(t *testing.T) {
 }
 
 func TestBackoffJitterWithinBoundsProperty(t *testing.T) {
-	prop := func(base, max uint16, factorC, jitterC uint8, seed int64, attempt uint8) bool {
-		b := arbitraryBackoff(base, max, factorC, jitterC)
+	prop := func(seed int64, attempt uint8) bool {
 		n := int(attempt % 20)
-		lo := b.Delay(n, nil) // jitter-free floor (already capped at Max)
-		rng := rand.New(rand.NewSource(seed))
-		d := b.Delay(n, rng)
-		hi := time.Duration(float64(lo) * (1 + b.Jitter))
-		if hi > b.Max {
-			hi = b.Max
-		}
+		lo := RetryDelay(n, nil) // jitter-free floor (already capped)
+		d := RetryDelay(n, rand.New(rand.NewSource(seed)))
+		hi := min(time.Duration(float64(lo)*(1+DefaultRetryJitter)), DefaultRetryMax)
 		return d >= lo && d <= hi
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
@@ -71,23 +63,11 @@ func TestBackoffJitterWithinBoundsProperty(t *testing.T) {
 }
 
 func TestBackoffDeterministicPerSeed(t *testing.T) {
-	b := Backoff{}.WithDefaults()
 	a := rand.New(rand.NewSource(7))
 	c := rand.New(rand.NewSource(7))
 	for n := 0; n < 10; n++ {
-		if da, dc := b.Delay(n, a), b.Delay(n, c); da != dc {
+		if da, dc := RetryDelay(n, a), RetryDelay(n, c); da != dc {
 			t.Fatalf("attempt %d: %v != %v from identical rng state", n, da, dc)
 		}
-	}
-}
-
-func TestBackoffDefaults(t *testing.T) {
-	b := Backoff{}.WithDefaults()
-	if b.Base != DefaultRetryBase || b.Factor != DefaultRetryFactor ||
-		b.Max != DefaultRetryMax || b.Jitter != DefaultRetryJitter {
-		t.Fatalf("zero Backoff did not take defaults: %+v", b)
-	}
-	if got := (Backoff{Factor: 0.3}).WithDefaults().Factor; got != 1 {
-		t.Fatalf("sub-1 factor should clamp to 1, got %v", got)
 	}
 }

@@ -65,9 +65,6 @@ type Config struct {
 	// Horizon bounds the interval [0, Horizon) in which crash and outage
 	// windows are drawn (DefaultHorizon if zero).
 	Horizon time.Duration
-	// Retry overrides the recovery layer's demand-retry schedule (defaults
-	// apply field-wise when zero).
-	Retry Backoff
 }
 
 // Enabled reports whether the configuration asks for any fault injection.
@@ -122,11 +119,6 @@ type Plan struct {
 	Crashes []CrashWindow
 	Links   []LinkFault
 	Outages []LinkOutage
-}
-
-// Empty reports whether the plan injects nothing.
-func (pl *Plan) Empty() bool {
-	return pl == nil || (len(pl.Crashes) == 0 && len(pl.Links) == 0 && len(pl.Outages) == 0)
 }
 
 // Validate checks the plan's structural invariants: probabilities in [0, 1],

@@ -113,7 +113,7 @@ func TestInjectorCutDuring(t *testing.T) {
 		{A: 0, B: 1, Start: 100 * sim.Second, End: 130 * sim.Second},
 		{A: 0, B: 1, Start: 200 * sim.Second, End: 230 * sim.Second},
 	}}
-	in := NewInjector(pl, rand.New(rand.NewSource(1)), Backoff{})
+	in := NewInjector(pl, rand.New(rand.NewSource(1)))
 	cases := []struct {
 		from, until sim.Time
 		wantAt      sim.Time
@@ -142,7 +142,7 @@ func TestInjectorCutDuring(t *testing.T) {
 
 func TestInjectorFateFrequencies(t *testing.T) {
 	pl := &Plan{Links: []LinkFault{{A: 0, B: 1, DropProb: 0.3, DupProb: 0.2}}}
-	in := NewInjector(pl, rand.New(rand.NewSource(5)), Backoff{})
+	in := NewInjector(pl, rand.New(rand.NewSource(5)))
 	const n = 20000
 	var drops, dups int
 	for i := 0; i < n; i++ {
@@ -160,7 +160,7 @@ func TestInjectorFateFrequencies(t *testing.T) {
 		t.Errorf("dup frequency %.3f, want ~0.20", f)
 	}
 	// An unconfigured link consumes no randomness and always delivers.
-	inj2 := NewInjector(pl, rand.New(rand.NewSource(5)), Backoff{})
+	inj2 := NewInjector(pl, rand.New(rand.NewSource(5)))
 	for i := 0; i < 100; i++ {
 		if inj2.Fate(2, 3) != netmodel.FateDeliver {
 			t.Fatal("unconfigured link faulted")
@@ -177,7 +177,7 @@ func TestInjectorSchedule(t *testing.T) {
 		{Host: 1, At: 10 * sim.Second, RecoverAt: 25 * sim.Second},
 		{Host: 2, At: 40 * sim.Second, RecoverAt: 50 * sim.Second},
 	}}
-	in := NewInjector(pl, rand.New(rand.NewSource(1)), Backoff{})
+	in := NewInjector(pl, rand.New(rand.NewSource(1)))
 	type ev struct {
 		host netmodel.HostID
 		up   bool

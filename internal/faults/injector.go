@@ -18,9 +18,8 @@ import (
 // consumed in kernel event order, so a faulty simulation replays
 // identically from its seed.
 type Injector struct {
-	plan  *Plan
-	rng   *rand.Rand
-	retry Backoff
+	plan *Plan
+	rng  *rand.Rand
 
 	down    map[netmodel.HostID]bool
 	links   map[[2]netmodel.HostID]LinkFault
@@ -37,13 +36,11 @@ func linkKey(a, b netmodel.HostID) [2]netmodel.HostID {
 }
 
 // NewInjector builds an injector for the plan. rng is the dedicated fault
-// stream (derive it from the run seed); retry parameterises the recovery
-// layer's backoff and is exposed via Retry.
-func NewInjector(plan *Plan, rng *rand.Rand, retry Backoff) *Injector {
+// stream (derive it from the run seed).
+func NewInjector(plan *Plan, rng *rand.Rand) *Injector {
 	in := &Injector{
 		plan:    plan,
 		rng:     rng,
-		retry:   retry.WithDefaults(),
 		down:    make(map[netmodel.HostID]bool),
 		links:   make(map[[2]netmodel.HostID]LinkFault),
 		outages: make(map[[2]netmodel.HostID][]LinkOutage),
@@ -62,12 +59,6 @@ func NewInjector(plan *Plan, rng *rand.Rand, retry Backoff) *Injector {
 	}
 	return in
 }
-
-// Plan returns the plan being injected.
-func (in *Injector) Plan() *Plan { return in.plan }
-
-// Retry returns the recovery layer's backoff schedule.
-func (in *Injector) Retry() Backoff { return in.retry }
 
 // Rand returns the injector's seeded fault stream (the recovery layer draws
 // its retry jitter here, keeping the kernel's model stream untouched).

@@ -81,7 +81,7 @@ func (c *refCache) merge(entries []Entry) {
 func newTestSystem(budget int) *System {
 	net := netmodel.NewNetwork(sim.NewKernel())
 	cfg := DefaultConfig()
-	cfg.PiggybackBudget = budget * cfg.EntrySize
+	cfg.PiggybackBudget = budget * DefaultEntrySize
 	return NewSystem(net, cfg)
 }
 

@@ -3,10 +3,10 @@
 // endpoints learn the bandwidth), a per-host measurement cache whose entries
 // time out after T_thres seconds, and piggybacking of the most recent
 // measurements — those that fit within 1 KB — onto every outgoing message.
-// Placement algorithms obtain bandwidth estimates through Estimate, which
-// falls back to an on-demand probe (a 16 KB round trip, as in the paper's
-// trace methodology and systems like the Network Weather Service) when a
-// host's cache has no fresh entry.
+// Placement algorithms obtain bandwidth estimates through EstimateDetail,
+// which falls back to an on-demand probe (a 16 KB round trip, as in the
+// paper's trace methodology and systems like the Network Weather Service)
+// when a host's cache has no fresh entry.
 package monitor
 
 import (
@@ -113,27 +113,20 @@ type Entry struct {
 	Prov Provenance // how the entry got into this cache
 }
 
-// Config parameterises the monitoring system.
+// Config parameterises the monitoring system: the values the paper's
+// studies and the ablations vary. Zero values take the defaults.
 type Config struct {
-	SThres          int64
 	TThres          time.Duration
 	PiggybackBudget int
-	EntrySize       int
 	ProbeMode       ProbeMode
-	ProbeSize       int64
-	ProbeTimeout    time.Duration
 }
 
 // DefaultConfig returns the paper's parameters.
 func DefaultConfig() Config {
 	return Config{
-		SThres:          DefaultSThres,
 		TThres:          DefaultTThres,
 		PiggybackBudget: DefaultPiggybackBudget,
-		EntrySize:       DefaultEntrySize,
 		ProbeMode:       ProbeTimed,
-		ProbeSize:       DefaultProbeSize,
-		ProbeTimeout:    DefaultProbeTimeout,
 	}
 }
 
@@ -327,25 +320,13 @@ type System struct {
 // NewSystem creates the monitoring system and registers it as a transfer
 // observer on the network.
 func NewSystem(net *netmodel.Network, cfg Config) *System {
-	if cfg.SThres <= 0 {
-		cfg.SThres = DefaultSThres
-	}
 	if cfg.TThres <= 0 {
 		cfg.TThres = DefaultTThres
 	}
 	if cfg.PiggybackBudget <= 0 {
 		cfg.PiggybackBudget = DefaultPiggybackBudget
 	}
-	if cfg.EntrySize <= 0 {
-		cfg.EntrySize = DefaultEntrySize
-	}
-	if cfg.ProbeSize <= 0 {
-		cfg.ProbeSize = DefaultProbeSize
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = DefaultProbeTimeout
-	}
-	s := &System{net: net, cfg: cfg, maxEntries: cfg.PiggybackBudget / cfg.EntrySize}
+	s := &System{net: net, cfg: cfg, maxEntries: cfg.PiggybackBudget / DefaultEntrySize}
 	net.Observe(s)
 	if cfg.ProbeMode == ProbeNetwork {
 		s.EnableNetworkProbes()
@@ -375,7 +356,8 @@ func (s *System) Probes() int64 { return s.probes }
 // PassiveMeasurements returns the number of passive measurements recorded.
 func (s *System) PassiveMeasurements() int64 { return s.passiveMeas }
 
-// CacheHitRate returns the fraction of Estimate calls served from cache.
+// CacheHitRate returns the fraction of EstimateDetail calls served from
+// cache.
 func (s *System) CacheHitRate() float64 {
 	total := s.cacheHits + s.cacheMisses
 	if total == 0 {
@@ -409,7 +391,7 @@ func (s *System) BeforeSend(msg *netmodel.Message) {
 //lint:allocbudget 2 both inlined System.Cache calls grow the cache slice when a new host ID appears; merging entries the receiver already holds is a table read per entry
 func (s *System) AfterDeliver(msg *netmodel.Message, linkDuration time.Duration) {
 	dst := s.Cache(msg.Dst)
-	if msg.Src != msg.Dst && msg.Size >= s.cfg.SThres {
+	if msg.Src != msg.Dst && msg.Size >= DefaultSThres {
 		bw := s.net.MeasuredBandwidth(msg.Size, linkDuration)
 		if bw > 0 {
 			now := s.net.Kernel().Now()
@@ -445,18 +427,13 @@ type EstimateInfo struct {
 	ProbeCost time.Duration
 }
 
-// Probe performs an on-demand bandwidth measurement of the (a, b) link on
-// behalf of process p, records it in viewer's cache (and both endpoints'),
-// and returns it. Cost depends on the configured ProbeMode.
-func (s *System) Probe(p *sim.Proc, viewer, a, b netmodel.HostID) trace.Bandwidth {
-	bw, _ := s.ProbeDetail(p, viewer, a, b)
-	return bw
-}
-
-// ProbeDetail is Probe plus attribution: the info reports whether the probe
+// ProbeDetail performs an on-demand bandwidth measurement of the (a, b) link
+// on behalf of process p, records it in viewer's cache (and both
+// endpoints'), and returns it with its attribution: whether the probe
 // completed (ProvProbe) or hit the timeout lower-bound path
 // (ProvStaleFallback), the measurement time, and the simulated time the
-// probe cost the requesting process.
+// probe cost the requesting process. Cost depends on the configured
+// ProbeMode.
 func (s *System) ProbeDetail(p *sim.Proc, viewer, a, b netmodel.HostID) (trace.Bandwidth, EstimateInfo) {
 	s.probes++
 	start := s.net.Kernel().Now()
@@ -479,15 +456,15 @@ func (s *System) doProbe(p *sim.Proc, viewer, a, b netmodel.HostID) (trace.Bandw
 	}
 	if s.cfg.ProbeMode == ProbeTimed {
 		tr := s.net.Link(a, b)
-		rtt := 2 * (s.net.Startup() + tr.TransferDuration(p.Now(), s.cfg.ProbeSize))
-		if rtt > s.cfg.ProbeTimeout {
+		rtt := 2 * (netmodel.DefaultStartup + tr.TransferDuration(p.Now(), DefaultProbeSize))
+		if rtt > DefaultProbeTimeout {
 			// Probe timeout: report the bandwidth a transfer completing in
 			// exactly the timeout would imply — a pessimistic lower bound
 			// that correctly marks collapsed links as unusable without
 			// stalling the caller for the full round trip.
-			p.Hold(s.cfg.ProbeTimeout)
+			p.Hold(DefaultProbeTimeout)
 			now := s.net.Kernel().Now()
-			bw := trace.Bandwidth(float64(s.cfg.ProbeSize) / s.cfg.ProbeTimeout.Seconds())
+			bw := trace.Bandwidth(float64(DefaultProbeSize) / DefaultProbeTimeout.Seconds())
 			s.Cache(viewer).Record(a, b, bw, now, ProvStaleFallback)
 			s.Cache(a).Record(a, b, bw, now, ProvStaleFallback)
 			s.Cache(b).Record(a, b, bw, now, ProvStaleFallback)
@@ -503,16 +480,10 @@ func (s *System) doProbe(p *sim.Proc, viewer, a, b netmodel.HostID) (trace.Bandw
 	return bw, ProvProbe
 }
 
-// Estimate returns viewer's best estimate of the (a, b) bandwidth: a fresh
-// cache entry if available, otherwise an on-demand probe. Same-host "links"
-// are reported as infinitely fast via a very large constant.
-func (s *System) Estimate(p *sim.Proc, viewer, a, b netmodel.HostID) trace.Bandwidth {
-	bw, _ := s.EstimateDetail(p, viewer, a, b)
-	return bw
-}
-
-// EstimateDetail is Estimate plus attribution: the returned info carries the
-// estimate's provenance (probe / fresh-cache / piggyback / stale-fallback /
+// EstimateDetail returns viewer's best estimate of the (a, b) bandwidth: a
+// fresh cache entry if available, otherwise an on-demand probe. Same-host
+// "links" are reported as infinitely fast via a very large constant. The
+// returned info carries the estimate's provenance (probe / fresh-cache / piggyback / stale-fallback /
 // local), the time the underlying measurement was taken, and the probe cost
 // this call incurred. The placement-decision audit trail and the
 // estimator-accuracy layer (internal/estacc) record it per consumed

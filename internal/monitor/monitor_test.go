@@ -152,7 +152,7 @@ func TestPiggybackBudget(t *testing.T) {
 	c.Record(0, 1, 1, 1*sim.Second, ProvFreshCache)
 	c.Record(0, 2, 2, 2*sim.Second, ProvFreshCache)
 	c.Record(1, 2, 3, 3*sim.Second, ProvFreshCache)
-	entries := c.freshest(cfg.PiggybackBudget / cfg.EntrySize)
+	entries := c.freshest(cfg.PiggybackBudget / DefaultEntrySize)
 	if len(entries) != 2 {
 		t.Fatalf("freshest returned %d entries", len(entries))
 	}
@@ -167,7 +167,7 @@ func TestEstimateCacheHit(t *testing.T) {
 	r.sys.Cache(0).Record(0, 1, 4242, 0, ProvFreshCache)
 	var got trace.Bandwidth
 	r.k.Spawn("q", func(p *sim.Proc) {
-		got = r.sys.Estimate(p, 0, 0, 1)
+		got, _ = r.sys.EstimateDetail(p, 0, 0, 1)
 	})
 	if err := r.k.Run(); err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestEstimateProbesOnMiss(t *testing.T) {
 	var got trace.Bandwidth
 	var elapsed sim.Time
 	r.k.Spawn("q", func(p *sim.Proc) {
-		got = r.sys.Estimate(p, 0, 0, 1)
+		got, _ = r.sys.EstimateDetail(p, 0, 0, 1)
 		elapsed = p.Now()
 	})
 	if err := r.k.Run(); err != nil {
@@ -219,7 +219,7 @@ func TestEstimateOracleModeInstant(t *testing.T) {
 	var got trace.Bandwidth
 	var elapsed sim.Time
 	r.k.Spawn("q", func(p *sim.Proc) {
-		got = r.sys.Estimate(p, 2, 0, 1) // viewer not an endpoint
+		got, _ = r.sys.EstimateDetail(p, 2, 0, 1) // viewer not an endpoint
 		elapsed = p.Now()
 	})
 	if err := r.k.Run(); err != nil {
@@ -237,7 +237,7 @@ func TestEstimateLocalIsHuge(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	var got trace.Bandwidth
 	r.k.Spawn("q", func(p *sim.Proc) {
-		got = r.sys.Estimate(p, 0, 1, 1)
+		got, _ = r.sys.EstimateDetail(p, 0, 1, 1)
 	})
 	if err := r.k.Run(); err != nil {
 		t.Fatal(err)
@@ -250,9 +250,7 @@ func TestEstimateLocalIsHuge(t *testing.T) {
 func TestConfigDefaultsFilled(t *testing.T) {
 	r := newRig(t, Config{})
 	cfg := r.sys.Config()
-	if cfg.SThres != DefaultSThres || cfg.TThres != DefaultTThres ||
-		cfg.PiggybackBudget != DefaultPiggybackBudget || cfg.EntrySize != DefaultEntrySize ||
-		cfg.ProbeSize != DefaultProbeSize {
+	if cfg != DefaultConfig() {
 		t.Errorf("zero config not defaulted: %+v", cfg)
 	}
 }

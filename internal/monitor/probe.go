@@ -81,7 +81,7 @@ func (s *System) demonLoop(p *sim.Proc, host *netmodel.Host) {
 			// both endpoints.
 			s.net.Send(p, &netmodel.Message{
 				Src: host.ID(), Dst: req.Origin, Port: probePort,
-				Size: s.cfg.ProbeSize, Prio: sim.PriorityData,
+				Size: DefaultProbeSize, Prio: sim.PriorityData,
 				Payload: probePong{Seq: req.Seq},
 			})
 		case probePong:
@@ -98,7 +98,7 @@ func (s *System) demonLoop(p *sim.Proc, host *netmodel.Host) {
 func (s *System) executeProbe(p *sim.Proc, host *netmodel.Host, req probeExec) {
 	s.net.Send(p, &netmodel.Message{
 		Src: host.ID(), Dst: req.Peer, Port: probePort,
-		Size: s.cfg.ProbeSize, Prio: sim.PriorityData,
+		Size: DefaultProbeSize, Prio: sim.PriorityData,
 		Payload: probePing{Origin: host.ID(), Seq: req.Seq},
 	})
 	// Wait for the matching pong; other messages arriving meanwhile are
@@ -117,7 +117,7 @@ func (s *System) executeProbe(p *sim.Proc, host *netmodel.Host, req probeExec) {
 		case probePing:
 			s.net.Send(p, &netmodel.Message{
 				Src: host.ID(), Dst: m.Origin, Port: probePort,
-				Size: s.cfg.ProbeSize, Prio: sim.PriorityData,
+				Size: DefaultProbeSize, Prio: sim.PriorityData,
 				Payload: probePong{Seq: m.Seq},
 			})
 		case probeExec:
@@ -190,7 +190,7 @@ func (s *System) networkProbe(p *sim.Proc, viewer, a, b netmodel.HostID) trace.B
 			if e, ok := s.Cache(viewer).LookupAny(a, b); ok && e.At >= start {
 				return e.BW
 			}
-			p.Hold(s.net.Startup())
+			p.Hold(netmodel.DefaultStartup)
 		}
 	}
 	for {

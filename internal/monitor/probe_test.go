@@ -36,7 +36,7 @@ func TestNetworkProbeRemoteViewer(t *testing.T) {
 	r.k.Spawn("requester", func(p *sim.Proc) {
 		// Host 2 asks for the (0, 1) bandwidth: exec goes to host 0's demon,
 		// which pings host 1 and reports back.
-		got = r.sys.Estimate(p, 2, 0, 1)
+		got, _ = r.sys.EstimateDetail(p, 2, 0, 1)
 		elapsed = p.Now()
 		r.k.Stop()
 	})
@@ -70,7 +70,7 @@ func TestNetworkProbeLocalViewer(t *testing.T) {
 	r.k.Spawn("requester", func(p *sim.Proc) {
 		// Host 0 asks about its own link to 1: the demon is co-located, the
 		// passive measurement lands directly in host 0's cache.
-		got = r.sys.Estimate(p, 0, 0, 1)
+		got, _ = r.sys.EstimateDetail(p, 0, 0, 1)
 		r.k.Stop()
 	})
 	if err := r.k.Run(); err != nil && err != sim.ErrStopped {
@@ -90,7 +90,7 @@ func TestNetworkProbesContendWithData(t *testing.T) {
 		r.net.Send(p, &netmodel.Message{Src: 0, Dst: 1, Port: "d", Size: 256 * 1024, Prio: sim.PriorityData})
 	})
 	r.k.Spawn("requester", func(p *sim.Proc) {
-		r.sys.Estimate(p, 2, 0, 1)
+		r.sys.EstimateDetail(p, 2, 0, 1)
 		probeDone = p.Now()
 		r.k.Stop()
 	})
@@ -109,7 +109,7 @@ func TestEnableNetworkProbesIdempotent(t *testing.T) {
 	r.sys.EnableNetworkProbes() // second call must not double-spawn demons
 	done := false
 	r.k.Spawn("requester", func(p *sim.Proc) {
-		r.sys.Estimate(p, 2, 0, 1)
+		r.sys.EstimateDetail(p, 2, 0, 1)
 		done = true
 		r.k.Stop()
 	})
@@ -129,7 +129,7 @@ func TestConcurrentNetworkProbes(t *testing.T) {
 		a, b := netmodel.HostID(i), netmodel.HostID((i+1)%3)
 		viewer := netmodel.HostID((i + 2) % 3)
 		r.k.Spawn("req", func(p *sim.Proc) {
-			r.sys.Estimate(p, viewer, a, b)
+			r.sys.EstimateDetail(p, viewer, a, b)
 			done++
 			if done == 2 {
 				r.k.Stop()

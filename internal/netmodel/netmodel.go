@@ -148,7 +148,6 @@ type Network struct {
 	k         *sim.Kernel
 	hosts     []*Host
 	links     map[[2]HostID]*trace.Trace
-	startup   time.Duration
 	flatPrio  bool
 	observers []Observer
 	faults    FaultHook
@@ -173,11 +172,6 @@ type Network struct {
 // NetOption configures a Network.
 type NetOption func(*Network)
 
-// WithStartup overrides the per-message start-up cost.
-func WithStartup(d time.Duration) NetOption {
-	return func(n *Network) { n.startup = d }
-}
-
 // WithFlatPriorities makes the network ignore message priorities when
 // queueing for NICs and mailboxes (everything is served FIFO). This is the
 // ablation of the paper's §2.2 design point that barrier messages must get
@@ -189,9 +183,8 @@ func WithFlatPriorities() NetOption {
 // NewNetwork creates an empty network on kernel k with default parameters.
 func NewNetwork(k *sim.Kernel, opts ...NetOption) *Network {
 	n := &Network{
-		k:       k,
-		links:   make(map[[2]HostID]*trace.Trace),
-		startup: DefaultStartup,
+		k:     k,
+		links: make(map[[2]HostID]*trace.Trace),
 	}
 	for _, opt := range opts {
 		opt(n)
@@ -201,9 +194,6 @@ func NewNetwork(k *sim.Kernel, opts ...NetOption) *Network {
 
 // Kernel returns the owning simulation kernel.
 func (n *Network) Kernel() *sim.Kernel { return n.k }
-
-// Startup returns the per-message start-up cost.
-func (n *Network) Startup() time.Duration { return n.startup }
 
 // AddHost creates a host with the given name.
 func (n *Network) AddHost(name string) *Host {
@@ -365,14 +355,14 @@ func (n *Network) Send(p *sim.Proc, msg *Message) {
 		o.BeforeSend(msg)
 	}
 	wireStart := n.k.Now()
-	dur := n.startup + tr.TransferDuration(wireStart.Add(n.startup), msg.Size)
+	dur := DefaultStartup + tr.TransferDuration(wireStart.Add(DefaultStartup), msg.Size)
 	if n.faults != nil {
 		if at, ok := n.faults.CutDuring(msg.Src, msg.Dst, n.k.Now(), n.k.Now().Add(dur)); ok {
 			// The link goes dark before the transfer completes: the endpoints
 			// stay busy until the cut (at least the start-up cost — the
 			// sender tries), then the message is lost in flight.
 			failAt := at
-			if min := n.k.Now().Add(n.startup); failAt < min {
+			if min := n.k.Now().Add(DefaultStartup); failAt < min {
 				failAt = min
 			}
 			p.HoldUntil(failAt)
@@ -388,7 +378,7 @@ func (n *Network) Send(p *sim.Proc, msg *Message) {
 					Host: int32(msg.Src), Peer: int32(msg.Dst),
 					Bytes: msg.Size, Prio: int8(msg.Prio), Name: msg.Port,
 					Dur:  int64(failAt - wireStart),
-					Wait: queueWait, Startup: int64(n.startup),
+					Wait: queueWait, Startup: int64(DefaultStartup),
 				})
 			}
 			return
@@ -417,7 +407,7 @@ func (n *Network) Send(p *sim.Proc, msg *Message) {
 			Host: int32(msg.Src), Peer: int32(msg.Dst),
 			Bytes: msg.Size, Prio: int8(msg.Prio), Name: msg.Port,
 			Dur:  int64(dur), // legacy total: startup + payload
-			Wait: queueWait, Startup: int64(n.startup),
+			Wait: queueWait, Startup: int64(DefaultStartup),
 			Value: float64(n.MeasuredBandwidth(msg.Size, dur)),
 		})
 	}
@@ -474,7 +464,7 @@ func (n *Network) deliver(msg *Message, prio sim.Priority) {
 // known start-up cost (the paper's traces were likewise computed from timed
 // 16 KB round trips).
 func (n *Network) MeasuredBandwidth(size int64, linkDuration time.Duration) trace.Bandwidth {
-	payload := linkDuration - n.startup
+	payload := linkDuration - DefaultStartup
 	if payload <= 0 {
 		return 0
 	}

@@ -331,28 +331,6 @@ func TestBandwidthAtOracle(t *testing.T) {
 	n.BandwidthAt(0, 99, 0)
 }
 
-func TestWithStartupOption(t *testing.T) {
-	k := sim.NewKernel()
-	n := NewNetwork(k, WithStartup(0))
-	a := n.AddHost("a")
-	b := n.AddHost("b")
-	n.SetLink(a.ID(), b.ID(), trace.Constant("l", 1024))
-	var doneAt sim.Time
-	k.Spawn("s", func(p *sim.Proc) {
-		n.Send(p, &Message{Src: a.ID(), Dst: b.ID(), Port: "d", Size: 1024, Prio: sim.PriorityData})
-		doneAt = p.Now()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if doneAt != sim.Second {
-		t.Errorf("doneAt = %v, want exactly 1s with zero startup", doneAt)
-	}
-	if n.Startup() != 0 {
-		t.Errorf("Startup = %v", n.Startup())
-	}
-}
-
 func TestHostAccessors(t *testing.T) {
 	k := sim.NewKernel()
 	n := NewNetwork(k)

@@ -72,7 +72,8 @@ func (s Subsystem) String() string {
 // Recorder accumulates wall-clock attribution and throughput counters for
 // one run. The region-accounting fields (cur, lastNs) are single-writer:
 // the simulator is cooperatively scheduled, so exactly one goroutine holds
-// control at any moment and the kernel's channel handoffs order the writes.
+// control at any moment and the kernel's coroutine switches order the
+// writes.
 // The accumulators are atomics so the progress goroutine can read a live
 // snapshot without racing that single writer.
 type Recorder struct {

@@ -30,7 +30,7 @@ func (s *recSink) ofKind(k telemetry.Kind) []telemetry.Event {
 }
 
 // TestAuditorNilSafe: a nil *Auditor must accept every call and report zero
-// stats, so un-audited call paths (OneShotOptimize, SnapshotBW) stay clean.
+// stats, so un-audited call paths (a zero Decision) stay clean.
 func TestAuditorNilSafe(t *testing.T) {
 	var a *Auditor
 	a.Bind(sim.NewKernel(), "x")

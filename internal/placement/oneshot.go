@@ -15,7 +15,7 @@ const improvementEps = 1e-9
 // terminates naturally, this is a safety net only.
 const maxOneShotRounds = 10000
 
-// OneShotOptimize is the paper's §2.1 iterative step, usable from any
+// OneShotOptimizeAudited is the paper's §2.1 iterative step, usable from any
 // starting placement (the global algorithm seeds it with the current
 // placement instead of download-all):
 //
@@ -29,16 +29,12 @@ const maxOneShotRounds = 10000
 // search first needs each edge, and is treated as a fixed snapshot for the
 // whole search. The returned placement is a new value; the input is not
 // modified.
-func OneShotOptimize(initial *plan.Placement, hosts []netmodel.HostID, model plan.CostModel, bw plan.BandwidthFn) *plan.Placement {
-	return OneShotOptimizeAudited(initial, hosts, model, bw, Decision{})
-}
-
-// OneShotOptimizeAudited is OneShotOptimize with a decision audit trail: the
-// starting critical path, every candidate evaluated (with its predicted
-// cost), each adopted move (with its predicted gain) and the final predicted
-// cost are recorded on the open decision record d (callers call
-// Auditor.StartDecision first; this function closes the record with d.End).
-// A zero d is exactly OneShotOptimize: the search itself is byte-identical
+//
+// The decision audit trail records the starting critical path, every
+// candidate evaluated (with its predicted cost), each adopted move (with its
+// predicted gain) and the final predicted cost on the open decision record d
+// (callers call Auditor.StartDecision first; this function closes the record
+// with d.End). A zero d records nothing: the search itself is byte-identical
 // either way.
 //
 // One plan.Evaluator serves the whole decision. Each candidate is scored by

@@ -77,21 +77,16 @@ func (x *Instance) DownloadAllPlacement() *plan.Placement {
 	return plan.NewPlacement(x.Tree, x.ServerHosts, x.ClientHost)
 }
 
-// SnapshotBW returns a memoised BandwidthFn over the monitoring system: each
-// distinct link is estimated at most once per snapshot, so one optimisation
-// pass sees a consistent view and pays for each unknown link once. viewer is
-// the host whose cache answers lookups; p is the process charged for any
-// on-demand probes.
-func (x *Instance) SnapshotBW(p *sim.Proc, viewer netmodel.HostID) plan.BandwidthFn {
-	return x.AuditedSnapshotBW(p, viewer, Decision{})
-}
-
-// AuditedSnapshotBW is SnapshotBW plus the decision audit trail: the first
-// lookup of each distinct link additionally records the served value — and
-// its provenance (probe, fresh-cache, piggyback, stale-fallback, local) — as
-// a decision-bandwidth event on the open decision record d, and joins it to
-// ground truth through the instance's estimator-accuracy tracker (if any). A
-// zero d is SnapshotBW with estimates attributed to decision 0.
+// AuditedSnapshotBW returns a memoised BandwidthFn over the monitoring
+// system: each distinct link is estimated at most once per snapshot, so one
+// optimisation pass sees a consistent view and pays for each unknown link
+// once. viewer is the host whose cache answers lookups; p is the process
+// charged for any on-demand probes. The first lookup of each distinct link
+// also records the served value — and its provenance (probe, fresh-cache,
+// piggyback, stale-fallback, local) — as a decision-bandwidth event on the
+// open decision record d, and joins it to ground truth through the
+// instance's estimator-accuracy tracker (if any). A zero d attributes the
+// estimates to decision 0.
 func (x *Instance) AuditedSnapshotBW(p *sim.Proc, viewer netmodel.HostID, d Decision) plan.BandwidthFn {
 	type key [2]netmodel.HostID
 	memo := make(map[key]trace.Bandwidth)

@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
 # Compare a fresh bench.sh result against the committed baseline and print a
-# per-benchmark delta table. ns/op deltas are warn-only — benchmark noise on
-# shared CI runners makes a hard time gate counterproductive — but with
-# --strict-allocs any allocs/op movement on the hot-path packages fails the
-# run: allocation counts are exact, noise-free, and covered by the
-# //lint:allocbudget contract, so a drift here is a real change that must
-# land together with its budget update.
+# per-benchmark table. With --strict-allocs any allocs/op movement on the
+# hot-path packages fails the run: allocation counts are exact, noise-free,
+# and covered by the //lint:allocbudget contract, so a drift here is a real
+# change that must land together with its budget update. B/op moves beyond
+# 15% are flagged, warn-only.
+#
+# ns/op and events/s are printed but not compared: between files taken on
+# different days they follow host speed (-61% to +40% on untouched code).
+# For a same-session ns/op comparison against a base revision, use
+#   scripts/abtest.sh <base-rev> bench:<pkg>:<regexp> <pairs>
 #
 # Usage: scripts/bench_compare.sh [--strict-allocs] <new.json> [baseline.json]
 #   Default baseline: the lexically newest committed BENCH_*.json.
@@ -46,7 +50,7 @@ def load(path):
     return {(b["pkg"], re.sub(r"-\d+$", "", b["name"])): b for b in doc["benchmarks"]}
 
 base, new = load(sys.argv[1]), load(sys.argv[2])
-THRESH = 0.15  # warn when ns/op moved more than this fraction either way
+THRESH = 0.15  # warn when B/op moved more than this fraction either way
 STRICT = os.environ.get("STRICT_ALLOCS") == "1"
 # The packages whose hot functions carry //lint:allocbudget annotations:
 # alloc movement here is blocking under --strict-allocs.
@@ -66,13 +70,11 @@ rows, warned, blocking = [], 0, []
 for key in sorted(new):
     nb = new[key]
     bb = base.get(key)
-    allocs, evs = nb.get("allocs_per_op"), nb.get("events_per_sec")
+    cur, allocs, evs = nb.get("ns_per_op"), nb.get("allocs_per_op"), nb.get("events_per_sec")
     bop = nb.get("bytes_per_op")
     if bb is None or "ns_per_op" not in nb or "ns_per_op" not in bb:
-        rows.append((key, nb.get("ns_per_op"), None, allocs, None, bop, None, evs, None, "new"))
+        rows.append((key, cur, allocs, bop, None, evs, "new"))
         continue
-    old, cur = bb["ns_per_op"], nb["ns_per_op"]
-    delta = (cur - old) / old if old else 0.0
     dallocs = None
     if allocs is not None and bb.get("allocs_per_op") is not None:
         dallocs = allocs - bb["allocs_per_op"]
@@ -82,42 +84,33 @@ for key in sorted(new):
     dbop = None
     if bop is not None and bb.get("bytes_per_op"):
         dbop = (bop - bb["bytes_per_op"]) / bb["bytes_per_op"]
-    devs = None
-    if evs and bb.get("events_per_sec"):
-        devs = (evs - bb["events_per_sec"]) / bb["events_per_sec"]
     flag = ""
-    if delta > THRESH:
-        flag, warned = "SLOWER", warned + 1
-    elif delta < -THRESH:
-        flag = "faster"
     if dallocs:
         # Any alloc-count movement on a hot path is signal, never noise.
-        flag = (flag + " " if flag else "") + f"allocs{dallocs:+d}"
+        flag = f"allocs{dallocs:+d}"
         warned += 1
         if STRICT and key[0] in HOT_PKGS:
             flag += " BLOCKING"
             blocking.append((key, bb["allocs_per_op"], allocs))
     elif dbop is not None and abs(dbop) > THRESH:
-        flag = (flag + " " if flag else "") + f"B/op{dbop:+.0%}"
+        flag = f"B/op{dbop:+.0%}"
         warned += 1
-    rows.append((key, cur, delta, allocs, dallocs, bop, dbop, evs, devs, flag))
+    rows.append((key, cur, allocs, bop, dbop, evs, flag))
 
 w = max(len(f"{p}.{n}") for (p, n), *_ in rows)
-print(f"{'benchmark'.ljust(w)}  {'ns/op':>12}  {'vs base':>8}  {'allocs/op':>9}  {'B/op':>9}  {'vs base':>8}  {'events/s':>9}  {'vs base':>8}  note")
-for (pkg, name), cur, delta, allocs, dallocs, bop, dbop, evs, devs, flag in rows:
-    d = "    new " if delta is None else f"{delta:+7.1%}"
+print(f"{'benchmark'.ljust(w)}  {'ns/op':>12}  {'allocs/op':>9}  {'B/op':>9}  {'vs base':>8}  {'events/s':>9}  note")
+for (pkg, name), cur, allocs, bop, dbop, evs, flag in rows:
     a = "-" if allocs is None else str(allocs)
     b = "-" if bop is None else str(bop)
     db = "    -   " if dbop is None else f"{dbop:+7.1%}"
-    e = "    -   " if devs is None else f"{devs:+7.1%}"
-    print(f"{(pkg + '.' + name).ljust(w)}  {cur:>12}  {d}  {a:>9}  {b:>9}  {db}  {rate(evs):>9}  {e}  {flag}")
+    print(f"{(pkg + '.' + name).ljust(w)}  {cur:>12}  {a:>9}  {b:>9}  {db}  {rate(evs):>9}  {flag}")
 
 gone = sorted(set(base) - set(new))
 for pkg, name in gone:
     print(f"{(pkg + '.' + name).ljust(w)}  {'-':>12}  {'removed':>8}")
 
 if warned:
-    print(f"\nWARNING: {warned} benchmark(s) moved more than {THRESH:.0%} vs {sys.argv[1]} (warn-only)")
+    print(f"\nWARNING: {warned} benchmark(s) changed allocs/op or moved B/op more than {THRESH:.0%} vs {sys.argv[1]}")
 if blocking:
     print(f"\nERROR: allocs/op moved on {len(blocking)} hot-path benchmark(s) (--strict-allocs):")
     for (pkg, name), old, cur in blocking:
