@@ -8,20 +8,29 @@ import (
 	"testing"
 )
 
-// TestExtraRejectedWithTenants: multi-tenant runs build their policies
-// without extra candidates, so -extra with -tenants > 1 is a usage error
-// rather than a flag silently dropped.
+// TestExtraRejectedWithTenants: only single runs of the local algorithm take
+// extra candidates, so -extra with -tenants > 1 or with any other algorithm
+// is a usage error rather than a flag silently dropped.
 func TestExtraRejectedWithTenants(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "combine")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	out, err := exec.Command(bin, "-tenants", "2", "-alg", "local", "-extra", "2", "-iters", "1").CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("exit = %v, want status 2; output:\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "-extra") {
-		t.Errorf("message does not name -extra:\n%s", out)
+	for _, tc := range []struct {
+		args []string
+		want string // the message names the rejected option
+	}{
+		{[]string{"-tenants", "2", "-alg", "local", "-extra", "2", "-iters", "1"}, "-extra"},
+		{[]string{"-servers", "4", "-alg", "global", "-extra", "2", "-iters", "3"}, "extra candidates"},
+	} {
+		out, err := exec.Command(bin, tc.args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: exit = %v, want status 2; output:\n%s", tc.args, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("%v: message does not name %s:\n%s", tc.args, tc.want, out)
+		}
 	}
 }

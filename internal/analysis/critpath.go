@@ -289,9 +289,11 @@ func (w *walker) netChainBack(upTo int64, dst int32, floor int64, bytes int64, n
 	cur, curDst := upTo, dst
 	for cur > floor && !w.done() {
 		t, ok := w.ix.xferEndingAt(cur, curDst, bytes)
-		if !ok {
+		if !ok || t.At-t.Dur-t.Wait >= cur {
 			// Local delivery (co-located consumer: no transfer events, zero
-			// cost) or an unmatchable recovery hop: close the remaining gap.
+			// cost), an unmatchable recovery hop, or a hop that takes no
+			// time — only a malformed log has one, and following it would
+			// never move the walk back: close the remaining gap.
 			w.emit(floor, CatPayload, curDst, -1, node)
 			return
 		}

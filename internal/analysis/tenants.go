@@ -24,8 +24,8 @@ func FilterTenant(events []telemetry.Event, t int32) []telemetry.Event {
 }
 
 // SplitByTenant partitions a log into per-tenant sub-logs, each in log
-// order. Tenant 0 holds shared infrastructure: kernel bookkeeping, fault
-// injection, and monitor demons.
+// order. Tenant 0 holds shared infrastructure: kernel bookkeeping and fault
+// injection.
 func SplitByTenant(events []telemetry.Event) map[int32][]telemetry.Event {
 	out := make(map[int32][]telemetry.Event)
 	for _, ev := range events {

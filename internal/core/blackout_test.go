@@ -18,12 +18,18 @@ import (
 func TestGlobalRoutesAroundBlackout(t *testing.T) {
 	healthy := trace.Constant("healthy", 200*1024)
 	// s0-client: healthy for 20s, then a severe brownout (2 KB/s, 100x
-	// collapse) for the next two hours. A total outage would stall in-flight
-	// transfers beyond rescue (no retries in the demand-driven pipeline);
-	// the brownout is the recoverable failure a placement algorithm can
-	// route around.
-	dead := trace.Constant("pre", 200*1024).WithBlackouts(
-		trace.Blackout{Start: 20 * sim.Second, End: 2 * sim.Hour, Floor: 2 * 1024})
+	// collapse) until two hours in, then healthy again. A total outage would
+	// stall in-flight transfers beyond rescue (no retries in the
+	// demand-driven pipeline); the brownout is the recoverable failure a
+	// placement algorithm can route around.
+	samples := make([]trace.Bandwidth, 7202) // one per second
+	for i := range samples {
+		samples[i] = 200 * 1024
+		if i >= 20 && i <= 7200 {
+			samples[i] = 2 * 1024
+		}
+	}
+	dead := trace.New("brownout", sim.Second, samples)
 	links := func(a, b netmodel.HostID) *trace.Trace {
 		lo, hi := a, b
 		if lo > hi {

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"wadc/internal/monitor"
 	"wadc/internal/netmodel"
 	"wadc/internal/placement"
 	"wadc/internal/trace"
@@ -76,30 +75,6 @@ func TestGreedyOrderBeatsLeftDeepOnClusteredNetwork(t *testing.T) {
 	if greedy > leftDeep*1.1 {
 		t.Errorf("greedy order (%.1fs) lost badly to left-deep (%.1fs) on clustered network",
 			greedy, leftDeep)
-	}
-}
-
-func TestRunWithNetworkProbes(t *testing.T) {
-	cfg := monitor.DefaultConfig()
-	cfg.ProbeMode = monitor.ProbeNetwork
-	res, err := Run(RunConfig{
-		Seed: 6, NumServers: 2, Shape: CompleteBinaryTree,
-		Links: detourLinks(2), Policy: placement.OneShot{},
-		Workload: smallWorkload(6), Monitor: cfg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Arrivals) != 6 {
-		t.Fatalf("arrivals = %d", len(res.Arrivals))
-	}
-	if res.Probes == 0 {
-		t.Error("no network probes despite cold caches")
-	}
-	// Network probes are real transfers >= S_thres: passive measurements
-	// must include them.
-	if res.PassiveMeasurements == 0 {
-		t.Error("probes were not measured passively")
 	}
 }
 

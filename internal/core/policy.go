@@ -14,7 +14,7 @@ type PolicyOptions struct {
 	// local); zero means the package default.
 	Period time.Duration
 	// Extra is the local algorithm's count of additional random candidate
-	// hosts.
+	// hosts; NewPolicy rejects it for every other algorithm.
 	Extra int
 	// Seed drives the local algorithm's candidate sampling.
 	Seed int64
@@ -23,6 +23,9 @@ type PolicyOptions struct {
 // NewPolicy constructs a placement policy by name. Policies are stateful:
 // every run (and every tenant of a multi-tenant run) needs its own instance.
 func NewPolicy(name string, opts PolicyOptions) (placement.Policy, error) {
+	if opts.Extra != 0 && name != "local" {
+		return nil, fmt.Errorf("core: extra candidates apply to the local algorithm only, not %q", name)
+	}
 	switch name {
 	case "download-all":
 		return placement.DownloadAll{}, nil

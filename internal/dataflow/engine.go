@@ -10,8 +10,7 @@
 //   - the global algorithm's iteration-numbered barrier change-over with
 //     high-priority barrier messages (paper §2.2);
 //   - the local algorithm's bookkeeping: "later producer" marks and critical
-//     flags carried on demand messages, and the per-host timestamp/location
-//     vectors propagated by piggybacking (paper §2.3).
+//     flags carried on demand messages (paper §2.3).
 //
 // Decision logic (when and where to move) is supplied by the placement
 // package through the WindowHook and ProposeSwitch APIs; this package only
@@ -120,7 +119,6 @@ type Engine struct {
 	k     *sim.Kernel
 	tel   telemetry.Sink // cached kernel sink; nil when telemetry is off
 	nodes []*node        // indexed by NodeID
-	vecs  []*hostVectors // indexed by HostID, grown on first use
 
 	windowHook WindowHook
 
@@ -306,24 +304,6 @@ func (e *Engine) SetCritical(id plan.NodeID, v bool) {
 
 // Critical returns the node's current critical flag.
 func (e *Engine) Critical(id plan.NodeID) bool { return e.nodes[id].critical }
-
-// HostVectors returns host h's timestamp/location vectors (creating empty
-// ones on first use), for inspection by tests and policies.
-func (e *Engine) HostVectors(h netmodel.HostID) (ts []int64, loc []netmodel.HostID) {
-	return e.vectors(h).snapshot()
-}
-
-func (e *Engine) vectors(h netmodel.HostID) *hostVectors {
-	for int(h) >= len(e.vecs) {
-		e.vecs = append(e.vecs, nil)
-	}
-	hv := e.vecs[h]
-	if hv == nil {
-		hv = newHostVectors(e.cfg.Tree, e.cfg.Initial)
-		e.vecs[h] = hv
-	}
-	return hv
-}
 
 // ProposeSwitch hands the engine a new placement for a coordinated
 // change-over; the client attaches it to its next demand (paper §2.2). It

@@ -357,32 +357,6 @@ func TestLaterProducerMarking(t *testing.T) {
 	}
 }
 
-func TestVectorsTrackMoves(t *testing.T) {
-	r := newRig(2, 6, 64*1024, 64*1024)
-	e := r.engine(nil)
-	moved := false
-	e.SetWindowHook(func(p *sim.Proc, id plan.NodeID, iter int) (netmodel.HostID, bool) {
-		if !moved && iter == 1 {
-			moved = true
-			return 1, true
-		}
-		return 0, false
-	})
-	r.run(t, e)
-	// Origin host (client, host 2) recorded the move.
-	ts, loc := e.HostVectors(2)
-	if ts[0] != 1 || loc[0] != 1 {
-		t.Errorf("origin vectors: ts=%v loc=%v", ts, loc)
-	}
-	// Piggybacking propagated the dominating vector to the servers' hosts.
-	for _, h := range []netmodel.HostID{0, 1} {
-		ts, loc := e.HostVectors(h)
-		if ts[0] != 1 || loc[0] != 1 {
-			t.Errorf("host %d vectors not propagated: ts=%v loc=%v", h, ts, loc)
-		}
-	}
-}
-
 func TestForwardingDeliversInFlightDemand(t *testing.T) {
 	// Move the operator on every window: demands racing the move notices
 	// must still be delivered (via forwarders), and the run must complete.

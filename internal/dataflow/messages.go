@@ -114,9 +114,4 @@ type envelope struct {
 	retrySeq int
 
 	// move-notice: the sender relocated; fromAddr is its new address.
-
-	// Piggybacked host vectors (paper §2.3): operator location vector and
-	// its timestamp vector, merged at the receiving host on dominance.
-	vecTS  []int64
-	vecLoc []netmodel.HostID
 }

@@ -82,8 +82,7 @@ func (e *Engine) hostDown(h netmodel.HostID) bool {
 // every engine that has started. Every non-client node process on the host
 // is killed mid-action, its mailbox is purged and its volatile state — held
 // output, buffered messages, barrier bookkeeping — is lost. Forwarders on
-// the host die with it, invalidating their forwarding pointers. The host's
-// vectors are volatile too.
+// the host die with it, invalidating their forwarding pointers.
 func (e *Engine) HostCrashed(h netmodel.HostID) {
 	for _, n := range e.nodes {
 		if n.host != h || n.kind == plan.Client {
@@ -105,9 +104,6 @@ func (e *Engine) HostCrashed(h netmodel.HostID) {
 			e.res.Invalidated++
 		}
 		e.fwds[h] = nil
-	}
-	if int(h) < len(e.vecs) {
-		e.vecs[h] = nil
 	}
 }
 
@@ -194,7 +190,6 @@ func (n *node) reinstantiate(c plan.NodeID, startIter int) {
 	}
 	child.neighbor[n.id] = n.address()
 	n.neighbor[c] = child.address()
-	e.vectors(n.host).recordMove(c, n.host)
 	e.res.Reinstantiations++
 	if e.tel != nil {
 		e.k.Emit(telemetry.Event{

@@ -56,11 +56,6 @@ const (
 	// ProbeOracle returns the ground-truth bandwidth instantly. Used for
 	// ablations isolating algorithm quality from monitoring cost.
 	ProbeOracle
-	// ProbeNetwork routes real 16 KB probe messages through the endpoint
-	// NICs via per-host monitor demons (the Komodo / Network Weather
-	// Service architecture the paper cites): probes contend with data
-	// traffic and are measured passively like any other large transfer.
-	ProbeNetwork
 )
 
 // Provenance records where a bandwidth figure came from, both as the origin
@@ -310,11 +305,6 @@ type System struct {
 	passiveMeas int64
 	cacheHits   int64
 	cacheMisses int64
-
-	// ProbeNetwork state.
-	demons   bool
-	probeSeq int64
-	pongs    map[pongKey]bool
 }
 
 // NewSystem creates the monitoring system and registers it as a transfer
@@ -328,9 +318,6 @@ func NewSystem(net *netmodel.Network, cfg Config) *System {
 	}
 	s := &System{net: net, cfg: cfg, maxEntries: cfg.PiggybackBudget / DefaultEntrySize}
 	net.Observe(s)
-	if cfg.ProbeMode == ProbeNetwork {
-		s.EnableNetworkProbes()
-	}
 	return s
 }
 
@@ -451,9 +438,6 @@ func (s *System) ProbeDetail(p *sim.Proc, viewer, a, b netmodel.HostID) (trace.B
 }
 
 func (s *System) doProbe(p *sim.Proc, viewer, a, b netmodel.HostID) (trace.Bandwidth, Provenance) {
-	if s.cfg.ProbeMode == ProbeNetwork {
-		return s.networkProbe(p, viewer, a, b), ProvProbe
-	}
 	if s.cfg.ProbeMode == ProbeTimed {
 		tr := s.net.Link(a, b)
 		rtt := 2 * (netmodel.DefaultStartup + tr.TransferDuration(p.Now(), DefaultProbeSize))
@@ -496,14 +480,7 @@ func (s *System) EstimateDetail(p *sim.Proc, viewer, a, b netmodel.HostID) (trac
 	}
 	if e, ok := s.Cache(viewer).Lookup(a, b); ok {
 		s.cacheHits++
-		prov := e.Prov
-		if prov == ProvProbe {
-			// Defensive: cache entries are written as fresh-cache /
-			// piggyback / stale-fallback; a probe marking means the entry
-			// was recorded before provenance existed.
-			prov = ProvFreshCache
-		}
-		return e.BW, EstimateInfo{Prov: prov, MeasuredAt: e.At}
+		return e.BW, EstimateInfo{Prov: e.Prov, MeasuredAt: e.At}
 	}
 	s.cacheMisses++
 	return s.ProbeDetail(p, viewer, a, b)

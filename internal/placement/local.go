@@ -50,7 +50,6 @@ type Local struct {
 
 	// stats
 	decisions int
-	moves     int
 	au        Auditor
 }
 
@@ -159,7 +158,6 @@ func (l *Local) actAtEpochEnd(p *sim.Proc, x *Instance, e *dataflow.Engine, op p
 		d.End(bestCost, evaluated)
 		return 0, false
 	}
-	l.moves++
 	d.Move(op, cur, best, curCost-bestCost)
 	d.End(bestCost, evaluated)
 	if k := e.Kernel(); k.Telemetry() != nil {

@@ -139,7 +139,11 @@ func (b *builder) finish(root NodeID, shape string) *Tree {
 	client := b.addNode(Client, -1)
 	b.nodes[client].Children = []NodeID{root}
 	b.nodes[root].Parent = client
-	t := &Tree{nodes: b.nodes, client: client, shape: shape}
+	// A binary tree over s servers has 2s nodes: s servers, s-1 operators
+	// and the client.
+	s := len(b.nodes) / 2
+	t := &Tree{nodes: b.nodes, client: client, shape: shape,
+		servers: make([]NodeID, 0, s), operators: make([]NodeID, 0, s-1)}
 	maxLevel := 0
 	for i := range t.nodes {
 		n := &t.nodes[i]
@@ -172,7 +176,7 @@ func CompleteBinary(numServers int) *Tree {
 		frontier[i] = b.addNode(Server, i)
 	}
 	for len(frontier) > 1 {
-		var next []NodeID
+		next := make([]NodeID, 0, (len(frontier)+1)/2)
 		for i := 0; i+1 < len(frontier); i += 2 {
 			next = append(next, b.combine(frontier[i], frontier[i+1]))
 		}

@@ -18,11 +18,6 @@ type Resource struct {
 	inUse    int
 	queue    prioQueue
 	seq      uint64
-
-	// Utilisation accounting.
-	busyTime   time.Duration // cumulative (holders × time)
-	lastChange Time
-	acquires   int64
 }
 
 // NewResource creates a resource with the given capacity (must be >= 1).
@@ -42,30 +37,11 @@ func (r *Resource) InUse() int { return r.inUse }
 // QueueLen returns the number of processes waiting to acquire.
 func (r *Resource) QueueLen() int { return r.queue.Len() }
 
-// Acquires returns the total number of successful acquisitions.
-func (r *Resource) Acquires() int64 { return r.acquires }
-
-// Utilization returns the mean fraction of capacity in use since the start
-// of the simulation (0 if no time has passed).
-func (r *Resource) Utilization() float64 {
-	r.account()
-	elapsed := r.k.now.Seconds() * float64(r.capacity)
-	if elapsed == 0 {
-		return 0
-	}
-	return r.busyTime.Seconds() / elapsed
-}
-
-func (r *Resource) account() {
-	r.busyTime += time.Duration(int64(r.k.now-r.lastChange) * int64(r.inUse))
-	r.lastChange = r.k.now
-}
-
 // Acquire blocks p until a unit of the resource is available, honouring
 // priority order among waiters. Callers must pair it with Release.
 func (r *Resource) Acquire(p *Proc, prio Priority) {
 	if r.inUse < r.capacity && r.queue.Len() == 0 {
-		r.grant()
+		r.inUse++
 		return
 	}
 	heap.Push(&r.queue, &item{value: p, prio: prio, seq: r.seq})
@@ -81,16 +57,10 @@ func (r *Resource) Acquire(p *Proc, prio Priority) {
 // processes are not bypassed: TryAcquire fails while anyone queues.
 func (r *Resource) TryAcquire() bool {
 	if r.inUse < r.capacity && r.queue.Len() == 0 {
-		r.grant()
+		r.inUse++
 		return true
 	}
 	return false
-}
-
-func (r *Resource) grant() {
-	r.account()
-	r.inUse++
-	r.acquires++
 }
 
 // Release returns one unit and hands it to the highest-priority waiter, if
@@ -99,7 +69,6 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic(fmt.Sprintf("sim: release of idle resource %q", r.name))
 	}
-	r.account()
 	r.inUse--
 	for r.queue.Len() > 0 && r.inUse < r.capacity {
 		next := heap.Pop(&r.queue).(*item).value.(*Proc)
@@ -108,7 +77,7 @@ func (r *Resource) Release() {
 			// a unit it can never release; drop it and try the next waiter.
 			continue
 		}
-		r.grant()
+		r.inUse++
 		if r.k.tel != nil {
 			r.k.Emit(telemetry.Event{Kind: telemetry.KindResourceGrant, Name: r.name, Aux: next.name})
 		}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"testing"
 	"time"
 )
@@ -26,8 +25,11 @@ func TestResourceSerializes(t *testing.T) {
 			t.Errorf("done[%d] = %v, want %v", i, done[i], want[i])
 		}
 	}
-	if r.Acquires() != 3 {
-		t.Errorf("Acquires = %d", r.Acquires())
+	if r.QueueLen() != 0 {
+		t.Errorf("QueueLen = %d", r.QueueLen())
+	}
+	if r.Name() != "nic" {
+		t.Errorf("Name = %q", r.Name())
 	}
 }
 
@@ -129,27 +131,6 @@ func TestResourceTryAcquireDoesNotBypassWaiters(t *testing.T) {
 	}
 }
 
-func TestResourceUtilization(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "disk", 1)
-	k.Spawn("u", func(p *Proc) {
-		r.Use(p, PriorityData, 30*time.Second)
-		p.Hold(70 * time.Second) // idle tail
-	})
-	if err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if got := r.Utilization(); math.Abs(got-0.3) > 1e-9 {
-		t.Errorf("Utilization = %v, want 0.3", got)
-	}
-	if r.QueueLen() != 0 {
-		t.Errorf("QueueLen = %d", r.QueueLen())
-	}
-	if r.Name() != "disk" {
-		t.Errorf("Name = %q", r.Name())
-	}
-}
-
 func TestResourceReleaseIdlePanics(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "nic", 1)
@@ -168,12 +149,4 @@ func TestResourceBadCapacityPanics(t *testing.T) {
 		}
 	}()
 	NewResource(NewKernel(), "bad", 0)
-}
-
-func TestResourceUtilizationZeroTime(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "nic", 1)
-	if got := r.Utilization(); got != 0 {
-		t.Errorf("Utilization at t=0 = %v", got)
-	}
 }

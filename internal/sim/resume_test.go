@@ -45,24 +45,6 @@ func TestRunUntilThenRun(t *testing.T) {
 	}
 }
 
-func TestUtilizationMidRun(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "nic", 1)
-	k.Spawn("u", func(p *Proc) {
-		r.Acquire(p, PriorityData)
-		p.Hold(10 * time.Second)
-		r.Release()
-	})
-	k.After(5*time.Second, func() {
-		if got := r.Utilization(); got < 0.99 {
-			t.Errorf("mid-run utilization = %v, want ~1.0", got)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSpawnFromCallback(t *testing.T) {
 	// Spawning a process from a scheduler callback must work (the bootstrap
 	// pattern core.Run uses).
