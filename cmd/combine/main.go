@@ -50,7 +50,7 @@ func main() {
 	var (
 		servers = flag.Int("servers", 8, "number of data servers")
 		alg     = flag.String("alg", "global", "placement algorithm: download-all, one-shot, global, local")
-		shape   = flag.String("shape", "binary", "combination order: binary or left-deep")
+		shape   = flag.String("shape", "binary", "combination order: binary, left-deep or greedy")
 		period  = flag.Duration("period", 10*time.Minute, "relocation period for on-line algorithms")
 		extra   = flag.Int("extra", 0, "extra random candidate locations (local algorithm; single runs only)")
 		iters   = flag.Int("iters", workload.DefaultImagesPerServer, "images per server")
@@ -100,11 +100,27 @@ func main() {
 		}
 	}
 
-	// Multi-tenant runs build each tenant's policy from the period and seed
-	// alone, so they cannot honour -extra.
-	if *tenants > 1 && *extra != 0 {
-		fmt.Fprintln(os.Stderr, "combine: -extra applies to single runs only, not with -tenants > 1")
-		os.Exit(2)
+	// An out-of-range or inapplicable flag is a usage error, never a value
+	// silently replaced or dropped. Multi-tenant runs build each tenant's
+	// policy from the period and seed alone, so they cannot honour -extra.
+	rateSet := false
+	flag.Visit(func(f *flag.Flag) { rateSet = rateSet || f.Name == "arrival-rate" })
+	for _, check := range []struct {
+		ok  bool
+		msg string
+	}{
+		{*config >= 0, "-config must be >= 0"},
+		{*iters >= 1, "-iters must be at least 1"},
+		{*period > 0, "-period must be positive"},
+		{*tenants >= 1, "-tenants must be at least 1"},
+		{*arrivalRate >= 0, "-arrival-rate must be >= 0"},
+		{*tenants > 1 || !rateSet, "-arrival-rate applies to multi-tenant runs only (-tenants > 1)"},
+		{*tenants == 1 || *extra == 0, "-extra applies to single runs only, not with -tenants > 1"},
+	} {
+		if !check.ok {
+			fmt.Fprintf(os.Stderr, "combine: %s\n", check.msg)
+			os.Exit(2)
+		}
 	}
 	policy, err := core.NewPolicy(*alg, core.PolicyOptions{Period: *period, Extra: *extra, Seed: *seed})
 	if err != nil {
@@ -358,7 +374,7 @@ func emitAllocReport(rep *obs.AllocReport, print bool, outPath string) {
 	if print {
 		fmt.Println()
 		fmt.Print(rep.Format(20))
-		if root := findModuleRoot(); root == "" {
+		if root := lint.FindModuleRoot(); root == "" {
 			fmt.Println("budget verification skipped: no go.mod above the working directory")
 		} else if budgets, err := lint.CollectBudgets(root); err != nil {
 			fmt.Fprintf(os.Stderr, "combine: collecting budgets: %v\n", err)
@@ -372,25 +388,6 @@ func emitAllocReport(rep *obs.AllocReport, print bool, outPath string) {
 			fmt.Fprintf(os.Stderr, "combine: %v\n", err)
 			os.Exit(1)
 		}
-	}
-}
-
-// findModuleRoot walks up from the working directory to the nearest
-// directory containing go.mod, or returns "".
-func findModuleRoot() string {
-	dir, err := os.Getwd()
-	if err != nil {
-		return ""
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return ""
-		}
-		dir = parent
 	}
 }
 

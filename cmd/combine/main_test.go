@@ -10,7 +10,9 @@ import (
 
 // TestExtraRejectedWithTenants: only single runs of the local algorithm take
 // extra candidates, so -extra with -tenants > 1 or with any other algorithm
-// is a usage error rather than a flag silently dropped.
+// is a usage error rather than a flag silently dropped. So is every other
+// out-of-range or inapplicable flag: each exits 2 with a message naming it,
+// instead of panicking or running with a replaced value.
 func TestExtraRejectedWithTenants(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "combine")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -22,6 +24,13 @@ func TestExtraRejectedWithTenants(t *testing.T) {
 	}{
 		{[]string{"-tenants", "2", "-alg", "local", "-extra", "2", "-iters", "1"}, "-extra"},
 		{[]string{"-servers", "4", "-alg", "global", "-extra", "2", "-iters", "3"}, "extra candidates"},
+		{[]string{"-config", "-1", "-iters", "1"}, "-config"},
+		{[]string{"-servers", "2", "-iters", "0"}, "-iters"},
+		{[]string{"-servers", "2", "-iters", "1", "-period", "0"}, "-period"},
+		{[]string{"-servers", "2", "-iters", "1", "-tenants", "0"}, "-tenants"},
+		{[]string{"-servers", "2", "-iters", "1", "-tenants", "-3"}, "-tenants"},
+		{[]string{"-servers", "2", "-iters", "1", "-tenants", "2", "-arrival-rate", "-1"}, "-arrival-rate"},
+		{[]string{"-servers", "2", "-iters", "1", "-arrival-rate", "2"}, "-arrival-rate"},
 	} {
 		out, err := exec.Command(bin, tc.args...).CombinedOutput()
 		var exit *exec.ExitError

@@ -34,6 +34,22 @@ func main() {
 		progress = flag.Duration("progress", 0, "print a sweep progress heartbeat to stderr at this interval (e.g. 5s; 0 disables)")
 	)
 	flag.Parse()
+	// An out-of-range value is a usage error, not a cue to fall back to the
+	// paper's default.
+	for _, check := range []struct {
+		ok  bool
+		msg string
+	}{
+		{*configs >= 1, "-configs must be at least 1"},
+		{*servers >= 2, "-servers must be at least 2"},
+		{*iters >= 1, "-iters must be at least 1"},
+		{*period > 0, "-period must be positive"},
+	} {
+		if !check.ok {
+			fmt.Fprintf(os.Stderr, "experiments: %s\n", check.msg)
+			os.Exit(2)
+		}
+	}
 
 	opts := experiment.Options{
 		Configs:      *configs,

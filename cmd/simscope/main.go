@@ -365,7 +365,7 @@ func cmdAllocs(args []string, stdout io.Writer) error {
 	// above still stands on its own.
 	root := *src
 	if root == "" {
-		root = findModuleRoot()
+		root = lint.FindModuleRoot()
 	}
 	if root == "" {
 		fmt.Fprintln(stdout, "budget verification skipped: no go.mod found (point -src at the module root)")
@@ -392,25 +392,6 @@ func cmdAllocs(args []string, stdout io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// findModuleRoot walks up from the working directory to the nearest
-// directory containing go.mod, or returns "".
-func findModuleRoot() string {
-	dir, err := os.Getwd()
-	if err != nil {
-		return ""
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return ""
-		}
-		dir = parent
-	}
 }
 
 func cmdDiff(args []string, stdout io.Writer) (bool, error) {

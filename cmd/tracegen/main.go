@@ -16,7 +16,6 @@ import (
 
 	"wadc/internal/experiment"
 	"wadc/internal/metrics"
-	"wadc/internal/sim"
 	"wadc/internal/trace"
 )
 
@@ -32,6 +31,10 @@ func main() {
 	flag.Parse()
 
 	pool := trace.NewStudyPool(*seed)
+	if *index < 0 || *index >= pool.Size() {
+		fmt.Fprintf(os.Stderr, "tracegen: -index must be in [0, %d)\n", pool.Size())
+		os.Exit(2)
+	}
 	switch {
 	case *load != "":
 		f, err := os.Open(*load)
@@ -67,12 +70,9 @@ func main() {
 	case *fig2:
 		fmt.Print(experiment.Figure2(*seed, *index).Render())
 	case *csv:
-		tr := pool.Trace(*index % pool.Size())
-		fmt.Printf("# trace %s, interval %v\n", tr.Name(), tr.Interval())
-		fmt.Println("time_s,bandwidth_KBps")
-		for i, bw := range tr.Samples() {
-			t := sim.Time(i) * tr.Interval()
-			fmt.Printf("%.0f,%.2f\n", t.Seconds(), bw.KBps())
+		if err := trace.WriteCSV(os.Stdout, pool.Trace(*index)); err != nil {
+			fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
+			os.Exit(1)
 		}
 	default:
 		fmt.Fprintln(os.Stderr, "tracegen: pass one of -stats, -fig2, -csv (see -h)")

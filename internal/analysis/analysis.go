@@ -10,9 +10,7 @@
 package analysis
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"wadc/internal/dataflow"
 	"wadc/internal/netmodel"
@@ -47,13 +45,6 @@ func (tl *Timeline) At(t sim.Time) *plan.Placement {
 		p.SetLoc(mv.Op, mv.To)
 	}
 	return p
-}
-
-// Moves returns the (sorted) move log.
-func (tl *Timeline) Moves() []dataflow.MoveRecord {
-	out := make([]dataflow.MoveRecord, len(tl.moves))
-	copy(out, tl.moves)
-	return out
 }
 
 // OracleBandwidth adapts per-link traces into the time-indexed BandwidthFn
@@ -128,21 +119,4 @@ func Convergence(tl *Timeline, oracle OracleBandwidth, model plan.CostModel,
 		rep.MeanMoveInterval = span / sim.Time(n-1)
 	}
 	return rep
-}
-
-// String renders the report on one line.
-func (r Report) String() string {
-	return fmt.Sprintf("samples=%d mean-gap=%.2f p90-gap=%.2f within10%%=%.0f%% move-interval=%v",
-		r.Samples, r.MeanGap, r.P90Gap, r.WithinTenPct*100, r.MeanMoveInterval)
-}
-
-// CompareRuns renders a side-by-side report table for several labelled runs
-// (e.g. global vs local on the same configuration).
-func CompareRuns(labels []string, reports []Report) string {
-	var sb strings.Builder
-	sb.WriteString("placement-quality analysis (cost of held placement / oracle optimum):\n")
-	for i, l := range labels {
-		fmt.Fprintf(&sb, "  %-9s %s\n", l, reports[i])
-	}
-	return sb.String()
 }

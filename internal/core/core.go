@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"wadc/internal/dataflow"
-	"wadc/internal/estacc"
 	"wadc/internal/faults"
 	"wadc/internal/monitor"
 	"wadc/internal/netmodel"
@@ -94,7 +93,8 @@ type Observe struct {
 
 // RunConfig describes one simulation run.
 type RunConfig struct {
-	// Seed drives all model-level randomness in the run.
+	// Seed seeds the run's workload and, unless Faults sets its own seed,
+	// the fault plan and the injector's stream.
 	Seed int64
 	// NumServers is the number of data sources (the client is one more
 	// host).
@@ -148,9 +148,6 @@ type Shared struct {
 	// Perf is the finalized host-process performance report (nil unless
 	// Observe.Perf was set).
 	Perf *obs.Report
-	// Estimator summarises estimator-accuracy tracking (zero unless
-	// Observe.Estimates was set with a telemetry sink).
-	Estimator estacc.Stats
 }
 
 // RunResult is the outcome of one run.

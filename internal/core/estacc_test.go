@@ -1,10 +1,10 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
-	"wadc/internal/estacc"
 	"wadc/internal/placement"
 	"wadc/internal/telemetry"
 )
@@ -28,7 +28,7 @@ func estDigest(t *testing.T, cfg RunConfig) (RunResult, []telemetry.Event) {
 // event per (decision, link) pair, matching the decision audit trail's
 // non-local bandwidth lookups one-for-one.
 func TestEstimateUsedExactlyOncePerDecision(t *testing.T) {
-	res, events := estDigest(t, RunConfig{
+	_, events := estDigest(t, RunConfig{
 		Seed: 23, NumServers: 4, Shape: CompleteBinaryTree,
 		Links:    constLinks(64 * 1024),
 		Policy:   &placement.Global{Period: 2 * time.Minute},
@@ -49,9 +49,6 @@ func TestEstimateUsedExactlyOncePerDecision(t *testing.T) {
 	}
 	if usedN == 0 {
 		t.Fatal("no estimates recorded")
-	}
-	if int64(usedN) != res.Estimator.Consumed {
-		t.Errorf("stream has %d estimate-used events, stats say %d", usedN, res.Estimator.Consumed)
 	}
 	for k, n := range used {
 		if n != 1 {
@@ -75,16 +72,19 @@ func TestEstimateUsedExactlyOncePerDecision(t *testing.T) {
 }
 
 // TestTrackEstimatesWithoutSinkInert: estimator events are pure telemetry,
-// so Observe.Estimates without a telemetry destination arms nothing.
+// so Observe.Estimates without a telemetry destination leaves the run
+// exactly as it is without it.
 func TestTrackEstimatesWithoutSinkInert(t *testing.T) {
-	res := mustRun(t, RunConfig{
-		Seed: 3, NumServers: 4, Shape: CompleteBinaryTree,
-		Links:    constLinks(64 * 1024),
-		Policy:   &placement.Global{Period: 2 * time.Minute},
-		Workload: smallWorkload(4),
-		Observe:  Observe{Estimates: true},
-	})
-	if res.Estimator != (estacc.Stats{}) {
-		t.Errorf("tracker armed without a sink: %+v", res.Estimator)
+	run := func(o Observe) RunResult {
+		return mustRun(t, RunConfig{
+			Seed: 3, NumServers: 4, Shape: CompleteBinaryTree,
+			Links:    constLinks(64 * 1024),
+			Policy:   &placement.Global{Period: 2 * time.Minute},
+			Workload: smallWorkload(4),
+			Observe:  o,
+		})
+	}
+	if plain, est := run(Observe{}), run(Observe{Estimates: true}); !reflect.DeepEqual(plain, est) {
+		t.Errorf("results diverge:\n  want=%+v\n  got=%+v", plain, est)
 	}
 }

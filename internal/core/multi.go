@@ -26,7 +26,9 @@ import (
 // form the shared server pool; host NumServers is the shared user site where
 // every tenant's client runs (and which fault plans protect).
 type MultiConfig struct {
-	// Seed drives the kernel and all shared-infrastructure randomness.
+	// Seed seeds the fault plan and the injector's stream unless Faults
+	// sets its own seed. Every tenant draws its workload and placement
+	// randomness from its own Spec.Seed; the kernel draws none.
 	Seed int64
 	// NumServers is the size of the shared server-host pool.
 	NumServers int
@@ -183,7 +185,7 @@ func (cfg *MultiConfig) validate() error {
 // time, runs the kernel to completion and collects the outcome. A tenant
 // that never departed is reported neither completed nor aborted.
 func simulate(cfg MultiConfig, runs []*tenantRun) (MultiResult, error) {
-	k := sim.NewKernel(sim.WithSeed(cfg.Seed), sim.WithObserver(cfg.Perf), sim.WithTelemetry(cfg.Telemetry))
+	k := sim.NewKernel(sim.WithObserver(cfg.Perf), sim.WithTelemetry(cfg.Telemetry))
 	var netOpts []netmodel.NetOption
 	if cfg.FlatPriorities {
 		netOpts = append(netOpts, netmodel.WithFlatPriorities())
@@ -292,7 +294,6 @@ func simulate(cfg MultiConfig, runs []*tenantRun) (MultiResult, error) {
 			NetworkTransfers:    net.Transfers(),
 			BytesMoved:          net.BytesMoved(),
 			KernelEvents:        int64(k.Scheduled()),
-			Estimator:           acc.Stats(),
 		},
 	}
 	var throughputs []float64
@@ -394,7 +395,7 @@ func launchTenant(k *sim.Kernel, net *netmodel.Network, mon *monitor.System,
 		initial := tr.policy.InitialPlacement(p, inst)
 		tr.initial = initial.Clone()
 		eng := dataflow.New(dataflow.Config{
-			Net: net, Mon: mon, Tree: tr.tree,
+			Net: net, Tree: tr.tree,
 			Initial:    initial,
 			Images:     tr.images,
 			Iterations: sp.Iterations,

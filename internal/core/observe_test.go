@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"wadc/internal/estacc"
 	"wadc/internal/faults"
 	"wadc/internal/obs"
 	"wadc/internal/placement"
@@ -101,15 +100,16 @@ func forEachCase(t *testing.T, withMulti bool, check func(t *testing.T, c matrix
 // observed is what one observed run leaves behind: the result with the
 // observers' own reports moved out of it, and, when a sink was attached,
 // the full event log (kernel events included) as JSONL minus the estimator
-// kinds, plus the metrics CSV.
+// kinds, plus the metrics CSV and the number of estimates the decision
+// audit trail records as consumed (non-local decision-bandwidth lookups).
 type observed struct {
 	res       any
 	jsonl     []byte
 	csv       []byte
 	metrics   *telemetry.Snapshot
 	estEvents []telemetry.Event
+	lookups   int
 	perf      *obs.Report
-	est       estacc.Stats
 	allocs    *obs.AllocReport
 }
 
@@ -136,8 +136,8 @@ func observe(t *testing.T, c matrixCase, observer string) observed {
 		capture = obs.StartAllocCapture()
 	}
 	res, sh := c.run(t, o)
-	out := observed{res: res, allocs: capture.Finish(c.iters), perf: sh.Perf, est: sh.Estimator}
-	sh.Perf, sh.Estimator = nil, estacc.Stats{}
+	out := observed{res: res, allocs: capture.Finish(c.iters), perf: sh.Perf}
+	sh.Perf = nil
 	if rec == nil {
 		return out
 	}
@@ -146,6 +146,9 @@ func observe(t *testing.T, c matrixCase, observer string) observed {
 		if ev.Kind == telemetry.KindEstimateUsed || ev.Kind == telemetry.KindRegimeDetected {
 			out.estEvents = append(out.estEvents, ev)
 			continue
+		}
+		if ev.Kind == telemetry.KindDecisionBandwidth && ev.Aux != "local" {
+			out.lookups++
 		}
 		kept = append(kept, ev)
 	}
@@ -273,16 +276,17 @@ func TestObsMultiByteIdentical(t *testing.T) { checkPerf(t, multiCase()) }
 
 // checkEstimates is the estimates column: estimator tracking leaves the
 // result and, once the two estimator kinds are filtered, the event log
-// untouched, and emits one estimate-used event per consumed estimate. The
-// collector counts events by kind, so it sees the extra estimator
-// telemetry: the CSV is a derived difference here and is not compared.
+// untouched, and emits one estimate-used event per estimate the decision
+// audit trail consumed. The collector counts events by kind, so it sees the
+// extra estimator telemetry: the CSV is a derived difference here and is
+// not compared.
 func checkEstimates(t *testing.T, c matrixCase) observed {
 	plain, ref := baseline(t, c)
 	o := observe(t, c, "estimates")
 	sameResult(t, plain, o)
 	sameLog(t, ref, o, false)
-	if n := countKind(o.estEvents, telemetry.KindEstimateUsed); int64(n) != o.est.Consumed {
-		t.Errorf("stream has %d estimate-used events, stats say %d", n, o.est.Consumed)
+	if n := countKind(o.estEvents, telemetry.KindEstimateUsed); n != o.lookups {
+		t.Errorf("stream has %d estimate-used events, decisions consumed %d estimates", n, o.lookups)
 	}
 	return o
 }

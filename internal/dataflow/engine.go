@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"wadc/internal/faults"
-	"wadc/internal/monitor"
 	"wadc/internal/netmodel"
 	"wadc/internal/obs"
 	"wadc/internal/plan"
@@ -52,7 +51,6 @@ type WindowHook func(p *sim.Proc, op plan.NodeID, iter int) (netmodel.HostID, bo
 // Config assembles a dataflow run.
 type Config struct {
 	Net     *netmodel.Network
-	Mon     *monitor.System
 	Tree    *plan.Tree
 	Initial *plan.Placement
 	// Images[s][i] is server s's i-th partition.
@@ -231,18 +229,6 @@ func (e *Engine) spawn(base string, fn func(p *sim.Proc)) *sim.Proc {
 	}
 	return p
 }
-
-// Network returns the simulated network.
-func (e *Engine) Network() *netmodel.Network { return e.cfg.Net }
-
-// Monitor returns the monitoring system (may be nil).
-func (e *Engine) Monitor() *monitor.System { return e.cfg.Mon }
-
-// Tree returns the combination tree.
-func (e *Engine) Tree() *plan.Tree { return e.cfg.Tree }
-
-// Iterations returns the number of partitions being combined.
-func (e *Engine) Iterations() int { return e.cfg.Iterations }
 
 // SetWindowHook installs the per-operator relocation-window policy callback.
 // Must be called before Start.

@@ -19,7 +19,6 @@ import (
 type testRig struct {
 	k      *sim.Kernel
 	net    *netmodel.Network
-	mon    *monitor.System
 	tree   *plan.Tree
 	images [][]workload.Image
 	init   *plan.Placement
@@ -38,7 +37,8 @@ func newRig(servers, iters int, bw trace.Bandwidth, imageBytes int64) *testRig {
 				trace.Constant(fmt.Sprintf("l%d-%d", a, b), bw))
 		}
 	}
-	mon := monitor.NewSystem(net, monitor.DefaultConfig())
+	// The monitor observes every transfer through the network, as in a run.
+	monitor.NewSystem(net, monitor.DefaultConfig())
 	tree := plan.CompleteBinary(servers)
 	sh, ch := plan.DefaultHostAssignment(servers)
 	images := make([][]workload.Image, servers)
@@ -48,14 +48,14 @@ func newRig(servers, iters int, bw trace.Bandwidth, imageBytes int64) *testRig {
 		}
 	}
 	return &testRig{
-		k: k, net: net, mon: mon, tree: tree, images: images,
+		k: k, net: net, tree: tree, images: images,
 		init: plan.NewPlacement(tree, sh, ch),
 	}
 }
 
 func (r *testRig) engine(cfg func(*Config)) *Engine {
 	c := Config{
-		Net: r.net, Mon: r.mon, Tree: r.tree, Initial: r.init,
+		Net: r.net, Tree: r.tree, Initial: r.init,
 		Images: r.images,
 	}
 	if cfg != nil {
@@ -325,7 +325,7 @@ func TestLaterProducerMarking(t *testing.T) {
 	net.SetLink(0, 2, fast)
 	net.SetLink(1, 2, slow)
 	net.SetLink(0, 1, fast)
-	mon := monitor.NewSystem(net, monitor.DefaultConfig())
+	monitor.NewSystem(net, monitor.DefaultConfig())
 	tree := plan.CompleteBinary(2)
 	sh, ch := plan.DefaultHostAssignment(2)
 	var images [][]workload.Image
@@ -336,7 +336,7 @@ func TestLaterProducerMarking(t *testing.T) {
 		}
 		images = append(images, seq)
 	}
-	e := New(Config{Net: net, Mon: mon, Tree: tree,
+	e := New(Config{Net: net, Tree: tree,
 		Initial: plan.NewPlacement(tree, sh, ch), Images: images})
 	e.Start()
 	if err := k.Run(); err != nil {
@@ -425,12 +425,6 @@ func TestCurrentPlacementReflectsEngine(t *testing.T) {
 	e := r.engine(nil)
 	if !e.CurrentPlacement().Equal(r.init) {
 		t.Error("initial CurrentPlacement mismatch")
-	}
-	if e.Iterations() != 2 {
-		t.Errorf("Iterations = %d", e.Iterations())
-	}
-	if e.Tree() != r.tree || e.Network() != r.net || e.Monitor() != r.mon {
-		t.Error("accessors wrong")
 	}
 	if e.Kernel() != r.k {
 		t.Error("kernel accessor wrong")

@@ -286,7 +286,7 @@ func (n *node) sendData(p *sim.Proc, demand *envelope) {
 // wait included.
 //
 //lint:hotpath
-//lint:allocbudget 1 one heldData node per image read: 32 of BENCH dataflow's 1260 allocs/op
+//lint:allocbudget 1 one heldData node per image read: 32 of BENCH dataflow's 1258 allocs/op
 func (n *node) readImage(p *sim.Proc, it int, bytes int64) {
 	e := n.e
 	start := e.k.Now()
@@ -307,7 +307,7 @@ func (n *node) readImage(p *sim.Proc, it int, bytes int64) {
 // client's root operator), what each has delivered, and the armed retry
 // timer. It lives on the node and is reset per fetch, so fetching allocates
 // nothing; got and arrived are indexed like the children, of which there are
-// at most two (plan.Tree validates that operators are binary).
+// at most two (the plan tree builders make every operator binary).
 type fetchState struct {
 	active  bool
 	iter    int

@@ -26,7 +26,7 @@ func leftDeepRig(servers, iters int, bw trace.Bandwidth) *testRig {
 			net.SetLink(netmodel.HostID(a), netmodel.HostID(b), trace.Constant("l", bw))
 		}
 	}
-	mon := monitor.NewSystem(net, monitor.DefaultConfig())
+	monitor.NewSystem(net, monitor.DefaultConfig())
 	tree := plan.LeftDeep(servers)
 	sh, ch := plan.DefaultHostAssignment(servers)
 	images := make([][]workload.Image, servers)
@@ -36,7 +36,7 @@ func leftDeepRig(servers, iters int, bw trace.Bandwidth) *testRig {
 		}
 	}
 	return &testRig{
-		k: k, net: net, mon: mon, tree: tree, images: images,
+		k: k, net: net, tree: tree, images: images,
 		init: plan.NewPlacement(tree, sh, ch),
 	}
 }

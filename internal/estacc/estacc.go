@@ -34,26 +34,6 @@ const RegimeThreshold = 0.10
 // non-degenerate stretch of ground truth.
 const minValidityWindow = time.Second
 
-// Stats summarises the tracker's activity, maintained whenever the tracker
-// is enabled (telemetry attached).
-type Stats struct {
-	// Consumed is the number of estimate consumptions joined to ground
-	// truth (same-host lookups are excluded — there is no link to judge).
-	Consumed int64
-	// ByProvenance counts consumptions per provenance class, indexed by
-	// monitor.Provenance.
-	ByProvenance [5]int64
-	// Detections is the number of regime-change detections emitted.
-	Detections int64
-	// Superseded counts true regime changes that were never individually
-	// detected because a newer change on the same link had already
-	// overwritten them by the time an estimate caught up.
-	Superseded int64
-	// ProbeCost is the total simulated time consumers spent waiting on
-	// on-demand probes whose results they consumed.
-	ProbeCost time.Duration
-}
-
 // linkState is the per-link regime-detection cursor: the seeded ground-truth
 // change-point schedule and the index of the next undetected change.
 type linkState struct {
@@ -71,7 +51,6 @@ type Tracker struct {
 	k      *sim.Kernel // nil unless the kernel has a live telemetry sink
 	tthres time.Duration
 	links  map[[2]netmodel.HostID]*linkState
-	stats  Stats
 }
 
 // New builds a tracker over the network's ground truth, reading the validity
@@ -86,18 +65,6 @@ func New(net *netmodel.Network, mon *monitor.System) *Tracker {
 		t.links = make(map[[2]netmodel.HostID]*linkState)
 	}
 	return t
-}
-
-// Enabled reports whether the tracker will actually record anything.
-func (t *Tracker) Enabled() bool { return t != nil && t.k != nil }
-
-// Stats returns the accumulated counters (zero for a nil or disabled
-// tracker).
-func (t *Tracker) Stats() Stats {
-	if t == nil {
-		return Stats{}
-	}
-	return t.stats
 }
 
 // Consumed records that a placement decision (seq, algorithm alg) consumed
@@ -130,11 +97,6 @@ func (t *Tracker) Consumed(viewer, a, b netmodel.HostID, est trace.Bandwidth,
 		window = minValidityWindow
 	}
 	truth := t.net.TruthWindow(a, b, now, window)
-	t.stats.Consumed++
-	if int(info.Prov) < len(t.stats.ByProvenance) {
-		t.stats.ByProvenance[info.Prov]++
-	}
-	t.stats.ProbeCost += info.ProbeCost
 	t.k.Emit(telemetry.Event{
 		Kind: telemetry.KindEstimateUsed,
 		Host: int32(a), Peer: int32(b), Node: int32(viewer),
@@ -148,7 +110,7 @@ func (t *Tracker) Consumed(viewer, a, b netmodel.HostID, est trace.Bandwidth,
 // detect advances the (a, b) link's change-point cursor: every change point
 // at or before the estimate's measurement time is reflected by this
 // estimate; the newest of them is reported as detected (with its lag) and
-// any older ones it overtook count as superseded.
+// any older ones it overtook are superseded: never reported.
 func (t *Tracker) detect(viewer, a, b netmodel.HostID, measuredAt, now sim.Time, seq int64) {
 	ls, ok := t.links[[2]netmodel.HostID{a, b}]
 	if !ok {
@@ -163,8 +125,6 @@ func (t *Tracker) detect(viewer, a, b netmodel.HostID, measuredAt, now sim.Time,
 		last++
 	}
 	cp := ls.cps[last]
-	t.stats.Detections++
-	t.stats.Superseded += int64(last - ls.next)
 	ls.next = last + 1
 	dir := "up"
 	if cp.To < cp.From {

@@ -82,10 +82,6 @@ func TestConsumedJoinsGroundTruth(t *testing.T) {
 	if ev.Seq != 7 || ev.Name != "global" || ev.Aux != "fresh-cache" {
 		t.Errorf("decision identity = seq %d alg %q prov %q", ev.Seq, ev.Name, ev.Aux)
 	}
-	st := r.tr.Stats()
-	if st.Consumed != 1 || st.ByProvenance[monitor.ProvFreshCache] != 1 {
-		t.Errorf("stats = %+v", st)
-	}
 }
 
 // TestValidityWindowFloored: an estimate older than T_thres is still judged
@@ -114,8 +110,9 @@ func TestValidityWindowFloored(t *testing.T) {
 	t.Fatal("no estimate-used event")
 }
 
-// TestProbeCostAccrues: probe-provenance consumptions accumulate the
-// simulated time spent waiting on probes, and carry it per event.
+// TestProbeCostAccrues: every probe-provenance consumption carries the
+// simulated time spent waiting on its probe, so the stream sums to the
+// total probe cost.
 func TestProbeCostAccrues(t *testing.T) {
 	r := newRig(true, genLink(5))
 	r.k.At(sim.Second, func() {
@@ -128,22 +125,24 @@ func TestProbeCostAccrues(t *testing.T) {
 	if err := r.k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	st := r.tr.Stats()
-	if st.ProbeCost != 3*2100*time.Millisecond {
-		t.Errorf("probe cost = %v, want 6.3s", st.ProbeCost)
-	}
+	var used int
+	var cost time.Duration
 	for _, ev := range r.rec.Events() {
-		if ev.Kind == telemetry.KindEstimateUsed && ev.Startup != int64(2100*time.Millisecond) {
-			t.Errorf("event probe cost = %d", ev.Startup)
+		if ev.Kind == telemetry.KindEstimateUsed {
+			used++
+			cost += time.Duration(ev.Startup)
 		}
+	}
+	if used != 3 || cost != 3*2100*time.Millisecond {
+		t.Errorf("%d estimate-used events with probe cost %v, want 3 with 6.3s", used, cost)
 	}
 }
 
 // TestDetectionLagAgainstSchedule checks regime detection against the
 // trace's own seeded change-point schedule: the first estimate whose
 // measurement postdates a true >= 10 % change detects it with lag
-// now - changeTime; passing several change points at once reports the newest
-// and counts the overtaken ones as superseded; already-detected changes are
+// now - changeTime; passing several change points at once reports only the
+// newest (the overtaken ones are superseded); already-detected changes are
 // never re-reported.
 func TestDetectionLagAgainstSchedule(t *testing.T) {
 	link := genLink(6)
@@ -203,10 +202,6 @@ func TestDetectionLagAgainstSchedule(t *testing.T) {
 			t.Errorf("detection %d dir = %q, want %q", i, ev.Aux, dir)
 		}
 	}
-	st := r.tr.Stats()
-	if st.Detections != 2 || st.Superseded != 1 {
-		t.Errorf("detections=%d superseded=%d, want 2/1", st.Detections, st.Superseded)
-	}
 }
 
 // TestSameHostAndLocalIgnored: there is no link (and so no truth) to judge a
@@ -219,9 +214,6 @@ func TestSameHostAndLocalIgnored(t *testing.T) {
 	})
 	if err := r.k.Run(); err != nil {
 		t.Fatal(err)
-	}
-	if n := r.tr.Stats().Consumed; n != 0 {
-		t.Errorf("consumed = %d, want 0", n)
 	}
 	for _, ev := range r.rec.Events() {
 		if ev.Kind == telemetry.KindEstimateUsed || ev.Kind == telemetry.KindRegimeDetected {
@@ -236,16 +228,7 @@ func TestSameHostAndLocalIgnored(t *testing.T) {
 // path.
 func TestDisabledPathsZeroAlloc(t *testing.T) {
 	off := newRig(false, genLink(8))
-	if off.tr.Enabled() {
-		t.Fatal("tracker enabled without a telemetry sink")
-	}
 	var nilTr *Tracker
-	if nilTr.Enabled() {
-		t.Fatal("nil tracker reports enabled")
-	}
-	if nilTr.Stats() != (Stats{}) {
-		t.Fatal("nil tracker has stats")
-	}
 	info := monitor.EstimateInfo{Prov: monitor.ProvFreshCache, MeasuredAt: sim.Second}
 	for name, tr := range map[string]*Tracker{"nil": nilTr, "no-sink": off.tr} {
 		if n := testing.AllocsPerRun(100, func() {
@@ -253,8 +236,5 @@ func TestDisabledPathsZeroAlloc(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("%s tracker Consumed allocates %.0f/op, want 0", name, n)
 		}
-	}
-	if n := off.tr.Stats().Consumed; n != 0 {
-		t.Errorf("disabled tracker recorded %d consumptions", n)
 	}
 }

@@ -24,9 +24,7 @@ import (
 type Fig2Result struct {
 	TraceName string
 	Stats     trace.Stats
-	ShortT    []sim.Time
 	ShortBW   []trace.Bandwidth
-	LongT     []sim.Time
 	LongBW    []trace.Bandwidth
 }
 
@@ -34,13 +32,13 @@ type Fig2Result struct {
 func Figure2(seed int64, index int) *Fig2Result {
 	pool := trace.NewStudyPool(seed)
 	tr := pool.Trace(index % pool.Size())
-	st, sbw := trace.VariationSeries(tr, NoonOffset, 10*sim.Minute, 120)
-	lt, lbw := trace.VariationSeries(tr, 0, tr.Duration(), 240)
+	_, sbw := trace.VariationSeries(tr, NoonOffset, 10*sim.Minute, 120)
+	_, lbw := trace.VariationSeries(tr, 0, tr.Duration(), 240)
 	return &Fig2Result{
 		TraceName: tr.Name(),
 		Stats:     trace.Analyze(tr, 0.10),
-		ShortT:    st, ShortBW: sbw,
-		LongT: lt, LongBW: lbw,
+		ShortBW:   sbw,
+		LongBW:    lbw,
 	}
 }
 

@@ -42,7 +42,7 @@ type Options struct {
 	// snapshot. Empty disables telemetry entirely.
 	TelemetryDir string
 	// Perf, when set, receives sweep-level progress: the work meter counts
-	// cells (SetWork/WorkDone) and each finished cell folds its kernel event
+	// cells (AddWork/WorkDone) and each finished cell folds its kernel event
 	// count in via AddEvents, so a Progress heartbeat over this recorder
 	// shows percent done, ETA, and aggregate events/sec. The recorder is
 	// deliberately NOT attached to the per-cell kernels: cells run
@@ -104,10 +104,6 @@ type Cell struct {
 	Algorithm        string
 	CompletionSec    float64
 	MeanInterarrival float64 // seconds per image at the client
-	Moves            int
-	Switches         int
-	Forwarded        int
-	Probes           int64
 	// Fault-injection accounting (zero when Options.Faults is unset).
 	CrashesFired     int
 	Retries          int
@@ -200,10 +196,6 @@ func RunSweep(o Options, shape core.TreeShape, algs []AlgSpec, pool *trace.Pool)
 			Algorithm:        a.Name,
 			CompletionSec:    res.Completion.Seconds(),
 			MeanInterarrival: res.MeanInterarrival.Seconds(),
-			Moves:            res.Moves,
-			Switches:         res.Switches,
-			Forwarded:        res.Forwarded,
-			Probes:           res.Probes,
 			CrashesFired:     res.CrashesFired,
 			Retries:          res.Retries,
 			Reinstantiations: res.Reinstantiations,

@@ -33,6 +33,26 @@ type Budget struct {
 	Reason string `json:"reason"`
 }
 
+// FindModuleRoot walks up from the working directory to the nearest
+// directory containing go.mod — the root CollectBudgets wants — or returns
+// "".
+func FindModuleRoot() string {
+	dir, err := os.Getwd()
+	if err != nil {
+		return ""
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return ""
+		}
+		dir = parent
+	}
+}
+
 // CollectBudgets parses every non-test .go file under root (a module root
 // containing go.mod) and returns all //lint:allocbudget declarations,
 // ordered by file then line. It is a pure syntax pass — no type checking,

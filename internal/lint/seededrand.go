@@ -9,9 +9,10 @@ import (
 // rand.Intn/Float64/... draw from a shared source whose state depends on
 // everything else in the process (other goroutines, test order, prior runs),
 // so a simulation that touches it can never replay. All model randomness
-// must come from a *rand.Rand seeded from RunConfig.Seed and threaded
-// explicitly (the kernel's Rand(), the fault injector's stream). Seeding a
-// source from the wall clock is the same bug in one step, so
+// must come from a *rand.Rand seeded from one of the run's seeds and owned
+// by the model that draws from it (the workload's, the fault injector's and
+// the local policy's streams; the kernel only orders events and draws
+// none). Seeding a source from the wall clock is the same bug in one step, so
 // rand.NewSource(time.Now()...) / rand.New(...time.Now()...) is flagged too.
 var SeededRand = &Analyzer{
 	Name: "seededrand",

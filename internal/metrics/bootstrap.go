@@ -50,8 +50,5 @@ func BootstrapCI(xs []float64, stat func([]float64) float64, level float64, resa
 	}
 }
 
-// MeanCI is BootstrapCI for the mean at 95 %.
-func MeanCI(xs []float64, seed int64) CI { return BootstrapCI(xs, Mean, 0.95, 1000, seed) }
-
 // MedianCI is BootstrapCI for the median at 95 %.
 func MedianCI(xs []float64, seed int64) CI { return BootstrapCI(xs, Median, 0.95, 1000, seed) }

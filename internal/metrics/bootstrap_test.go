@@ -18,8 +18,8 @@ func TestBootstrapCIBracketsTruth(t *testing.T) {
 	for i := range large {
 		large[i] = 10 + rng.NormFloat64()
 	}
-	ciSmall := MeanCI(small, 7)
-	ciLarge := MeanCI(large, 7)
+	ciSmall := BootstrapCI(small, Mean, 0.95, 1000, 7)
+	ciLarge := BootstrapCI(large, Mean, 0.95, 1000, 7)
 	for _, ci := range []CI{ciSmall, ciLarge} {
 		if ci.Low > ci.Point || ci.Point > ci.High {
 			t.Errorf("interval does not contain point: %v", ci)
@@ -47,7 +47,7 @@ func TestBootstrapCIDeterministic(t *testing.T) {
 }
 
 func TestBootstrapCIEdgeCases(t *testing.T) {
-	if ci := MeanCI(nil, 1); ci.Point != 0 || ci.Low != 0 || ci.High != 0 {
+	if ci := BootstrapCI(nil, Mean, 0.95, 1000, 1); ci.Point != 0 || ci.Low != 0 || ci.High != 0 {
 		t.Errorf("empty sample CI = %v", ci)
 	}
 	one := BootstrapCI([]float64{5}, Mean, 0.95, 10, 1)

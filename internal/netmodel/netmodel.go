@@ -51,10 +51,6 @@ func (h *Host) ID() HostID { return h.id }
 // Name returns the host's name.
 func (h *Host) Name() string { return h.name }
 
-// NIC returns the host's network interface resource (exported for tests and
-// utilisation reporting).
-func (h *Host) NIC() *sim.Resource { return h.nic }
-
 // Port returns (creating on first use) the mailbox with the given name.
 // Messages addressed to (host, port) are delivered here.
 func (h *Host) Port(name string) *sim.Mailbox {
@@ -153,10 +149,8 @@ type Network struct {
 	faults    FaultHook
 
 	// Transfer accounting.
-	transfers      int64
-	bytesMoved     int64
-	controlSends   int64
-	barrierOvertax int64 // barrier messages that actually waited for a NIC
+	transfers  int64
+	bytesMoved int64
 
 	// Fault accounting (all zero when no FaultHook is installed).
 	dropped    int64 // messages lost to a drop fate or a down destination
@@ -335,14 +329,8 @@ func (n *Network) Send(p *sim.Proc, msg *Message) {
 	heldSecond = true
 
 	// Both NICs are held: everything since SentAt was NIC queue wait, a
-	// phase distinct from the per-message startup below (the old accounting
-	// folded both into one opaque duration). barrierOvertax now counts
-	// barrier messages that measurably waited instead of pattern-matching on
-	// NIC occupancy at entry.
+	// phase distinct from the per-message startup below.
 	queueWait := int64(n.k.Now() - msg.SentAt)
-	if msg.Prio >= sim.PriorityBarrier && queueWait > 0 {
-		n.barrierOvertax++
-	}
 	if tel := n.k.Telemetry(); tel != nil {
 		n.k.Emit(telemetry.Event{
 			Kind: telemetry.KindTransferStart,
@@ -398,9 +386,6 @@ func (n *Network) Send(p *sim.Proc, msg *Message) {
 		rec.CountTransfer(msg.Size)
 	}
 	n.accountTransfer(msg, dur)
-	if msg.Prio > sim.PriorityData {
-		n.controlSends++
-	}
 	if tel := n.k.Telemetry(); tel != nil {
 		n.k.Emit(telemetry.Event{
 			Kind: telemetry.KindTransferEnd,

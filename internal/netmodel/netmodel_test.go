@@ -338,9 +338,6 @@ func TestHostAccessors(t *testing.T) {
 	if h.Name() != "x" || h.ID() != 0 || n.NumHosts() != 1 || n.Host(0) != h {
 		t.Error("accessors wrong")
 	}
-	if h.NIC() == nil {
-		t.Error("NIC nil")
-	}
 	if h.Port("p") != h.Port("p") {
 		t.Error("Port not memoised")
 	}

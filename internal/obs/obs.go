@@ -98,7 +98,6 @@ type Recorder struct {
 	peakHeap         atomic.Uint64
 	startMallocs     uint64
 	startTotalAlloc  uint64
-	startHeapInuse   uint64
 	gcBase           gcSnapshot
 	labelsEnabled    bool
 	heartbeatRunning atomic.Bool
@@ -113,7 +112,6 @@ func NewRecorder() *Recorder {
 	runtime.ReadMemStats(&ms)
 	r.startMallocs = ms.Mallocs
 	r.startTotalAlloc = ms.TotalAlloc
-	r.startHeapInuse = ms.HeapAlloc
 	r.peakHeap.Store(ms.HeapAlloc)
 	r.gcBase = readGCSnapshot()
 	return r
@@ -154,13 +152,10 @@ func (r *Recorder) CountTransfer(size int64) {
 // concurrently, and the single-writer region clock cannot be shared).
 func (r *Recorder) AddEvents(n int64) { r.events.Add(n) }
 
-// SetWork declares the expected number of progress units (0 = unknown),
-// enabling percentage and ETA in the progress heartbeat.
-func (r *Recorder) SetWork(total int64) { r.workTotal.Store(total) }
-
-// AddWork declares additional expected progress units on top of the
-// current total (used when tenants arrive over time).
-func (r *Recorder) AddWork(total int64) { r.workTotal.Add(total) }
+// AddWork declares n more expected progress units on top of the current
+// total (0 = unknown), enabling percentage and ETA in the progress
+// heartbeat.
+func (r *Recorder) AddWork(n int64) { r.workTotal.Add(n) }
 
 // WorkDone records n completed progress units.
 func (r *Recorder) WorkDone(n int64) { r.workDone.Add(n) }

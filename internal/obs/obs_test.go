@@ -67,7 +67,7 @@ func TestRecorderCounters(t *testing.T) {
 	}
 	r.CountTransfer(4096)
 	r.CountTransfer(4096)
-	r.SetWork(7)
+	r.AddWork(7)
 	r.AddWork(3)
 	r.WorkDone(4)
 	rep := r.Report()
@@ -172,7 +172,7 @@ func TestProgressHeartbeat(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r.CountEvent(int64(i))
 	}
-	r.SetWork(10)
+	r.AddWork(10)
 	r.WorkDone(5)
 	time.Sleep(25 * time.Millisecond)
 	p.Stop()

@@ -57,7 +57,7 @@ func (r *policyRig) run(t *testing.T, p Policy) *dataflow.Engine {
 	r.k.Spawn("bootstrap", func(proc *sim.Proc) {
 		initial := p.InitialPlacement(proc, r.inst)
 		eng = dataflow.New(dataflow.Config{
-			Net: r.net, Mon: r.mon, Tree: r.inst.Tree,
+			Net: r.net, Tree: r.inst.Tree,
 			Initial: initial, Images: r.images,
 		})
 		p.Attach(r.inst, eng)

@@ -289,30 +289,3 @@ func (e Evaluation) CriticalOperators(t *Tree) []NodeID {
 	}
 	return out
 }
-
-// CountingBandwidth wraps a BandwidthFn and records the distinct links
-// queried — the paper notes that "due to the branch and bound nature of the
-// algorithm only a subset of the links need to be measured"; this makes that
-// measurable.
-type CountingBandwidth struct {
-	Fn      BandwidthFn
-	queried map[[2]netmodel.HostID]bool
-}
-
-// NewCountingBandwidth wraps fn.
-func NewCountingBandwidth(fn BandwidthFn) *CountingBandwidth {
-	return &CountingBandwidth{Fn: fn, queried: make(map[[2]netmodel.HostID]bool)}
-}
-
-// Bandwidth implements BandwidthFn.
-func (c *CountingBandwidth) Bandwidth(a, b netmodel.HostID) trace.Bandwidth {
-	k := [2]netmodel.HostID{a, b}
-	if a > b {
-		k = [2]netmodel.HostID{b, a}
-	}
-	c.queried[k] = true
-	return c.Fn(a, b)
-}
-
-// DistinctLinks returns how many distinct links have been queried.
-func (c *CountingBandwidth) DistinctLinks() int { return len(c.queried) }

@@ -62,5 +62,5 @@ func GreedyBinary(numServers int, pairCost func(a, b int) float64) *Tree {
 		}
 		clusters = append(next, merged)
 	}
-	return b.finish(clusters[0].node, "greedy-bandwidth")
+	return b.finish(clusters[0].node)
 }

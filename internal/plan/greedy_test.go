@@ -20,9 +20,6 @@ func TestGreedyBinaryPairsCheapestFirst(t *testing.T) {
 	}
 	tr := GreedyBinary(4, cost)
 	tr.Validate()
-	if tr.Shape() != "greedy-bandwidth" {
-		t.Errorf("shape = %q", tr.Shape())
-	}
 	// Find the level-0 operators and check their children's server indices.
 	pairs := map[[2]int]bool{}
 	for _, op := range tr.Operators() {

@@ -78,45 +78,6 @@ func (p *Placement) Locations() []netmodel.HostID {
 	return out
 }
 
-// Hosts returns the set of hosts participating in the computation (servers
-// and client), the candidate sites for operators. The paper's assumption (1):
-// "servers can host computation".
-func (p *Placement) Hosts() []netmodel.HostID {
-	seen := make(map[netmodel.HostID]bool)
-	var out []netmodel.HostID
-	for _, s := range p.tree.servers {
-		if !seen[p.loc[s]] {
-			seen[p.loc[s]] = true
-			out = append(out, p.loc[s])
-		}
-	}
-	if !seen[p.ClientHost()] {
-		out = append(out, p.ClientHost())
-	}
-	return out
-}
-
-// Edges calls fn for every child→parent data edge with the endpoints' hosts.
-func (p *Placement) Edges(fn func(child, parent NodeID, from, to netmodel.HostID)) {
-	for i := range p.tree.nodes {
-		n := &p.tree.nodes[i]
-		for _, c := range n.Children {
-			fn(c, n.ID, p.loc[c], p.loc[n.ID])
-		}
-	}
-}
-
-// Diff returns the operators whose location differs between p and q.
-func (p *Placement) Diff(q *Placement) []NodeID {
-	var out []NodeID
-	for _, op := range p.tree.operators {
-		if p.loc[op] != q.loc[op] {
-			out = append(out, op)
-		}
-	}
-	return out
-}
-
 // String renders operator locations compactly, e.g. "op8@h2 op9@h2 op10@h8".
 func (p *Placement) String() string {
 	var parts []string

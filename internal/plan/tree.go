@@ -73,11 +73,7 @@ type Tree struct {
 	operators []NodeID
 	client    NodeID
 	depth     int // number of distinct operator levels
-	shape     string
 }
-
-// Shape returns a human-readable shape name ("complete-binary", "left-deep").
-func (t *Tree) Shape() string { return t.shape }
 
 // NumServers returns the number of leaf data sources.
 func (t *Tree) NumServers() int { return len(t.servers) }
@@ -135,14 +131,14 @@ func (b *builder) combine(a, c NodeID) NodeID {
 	return op
 }
 
-func (b *builder) finish(root NodeID, shape string) *Tree {
+func (b *builder) finish(root NodeID) *Tree {
 	client := b.addNode(Client, -1)
 	b.nodes[client].Children = []NodeID{root}
 	b.nodes[root].Parent = client
 	// A binary tree over s servers has 2s nodes: s servers, s-1 operators
 	// and the client.
 	s := len(b.nodes) / 2
-	t := &Tree{nodes: b.nodes, client: client, shape: shape,
+	t := &Tree{nodes: b.nodes, client: client,
 		servers: make([]NodeID, 0, s), operators: make([]NodeID, 0, s-1)}
 	maxLevel := 0
 	for i := range t.nodes {
@@ -185,7 +181,7 @@ func CompleteBinary(numServers int) *Tree {
 		}
 		frontier = next
 	}
-	return b.finish(frontier[0], "complete-binary")
+	return b.finish(frontier[0])
 }
 
 // LeftDeep builds the linear left-deep tree of Figure 5: the first two
@@ -203,7 +199,7 @@ func LeftDeep(numServers int) *Tree {
 	for i := 2; i < numServers; i++ {
 		acc = b.combine(acc, servers[i])
 	}
-	return b.finish(acc, "left-deep")
+	return b.finish(acc)
 }
 
 // Validate checks structural invariants; it is used by tests and panics on
@@ -251,8 +247,8 @@ func (t *Tree) String() string {
 	return sb.String()
 }
 
-// HostsOf maps each server index to a host: the experiment convention is
-// hosts 0..S-1 are the servers and host S is the client.
+// DefaultHostAssignment maps each server index to a host: the experiment
+// convention is hosts 0..S-1 are the servers and host S is the client.
 func DefaultHostAssignment(numServers int) (serverHosts []netmodel.HostID, clientHost netmodel.HostID) {
 	serverHosts = make([]netmodel.HostID, numServers)
 	for i := range serverHosts {

@@ -33,9 +33,6 @@ func TestCompleteBinaryShape(t *testing.T) {
 		if tr.Depth() != tt.depth {
 			t.Errorf("depth(%d) = %d, want %d", tt.servers, tr.Depth(), tt.depth)
 		}
-		if tr.Shape() != "complete-binary" {
-			t.Errorf("shape = %q", tr.Shape())
-		}
 	}
 }
 
@@ -49,9 +46,6 @@ func TestLeftDeepShape(t *testing.T) {
 		// A left-deep tree is maximally deep: one level per operator.
 		if tr.Depth() != s-1 {
 			t.Errorf("depth(%d) = %d, want %d", s, tr.Depth(), s-1)
-		}
-		if tr.Shape() != "left-deep" {
-			t.Errorf("shape = %q", tr.Shape())
 		}
 	}
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"wadc/internal/obs"
@@ -20,12 +19,6 @@ var errKilled = errors.New("sim: process killed")
 
 // Option configures a Kernel.
 type Option func(*Kernel)
-
-// WithSeed sets the seed for the kernel's random number generator. The
-// default seed is 1.
-func WithSeed(seed int64) Option {
-	return func(k *Kernel) { k.rng = rand.New(rand.NewSource(seed)) }
-}
 
 // WithTelemetry installs a structured-event sink; a nil sink installs
 // nothing. Multiple sinks accumulate into a fan-out in installation order.
@@ -58,7 +51,6 @@ type Kernel struct {
 	seq    uint64
 	events eventQueue
 	procs  []*Proc
-	rng    *rand.Rand
 	tel    telemetry.Sink
 	obs    *obs.Recorder // nil unless WithObserver attached a perf recorder
 
@@ -76,7 +68,7 @@ type Kernel struct {
 
 // NewKernel constructs a kernel with the given options.
 func NewKernel(opts ...Option) *Kernel {
-	k := &Kernel{rng: rand.New(rand.NewSource(1))}
+	k := &Kernel{}
 	for _, opt := range opts {
 		opt(k)
 	}
@@ -85,11 +77,6 @@ func NewKernel(opts ...Option) *Kernel {
 
 // Now returns the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
-
-// Rand returns the kernel's deterministic random source. All model-level
-// randomness must come from here (or from generators seeded from here) so
-// that simulations replay identically.
-func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // CurrentTenant returns the tenant register: the tenant tag of the process
 // or timer callback currently executing (0 outside any tenant's context).

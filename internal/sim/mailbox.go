@@ -165,20 +165,3 @@ func (m *Mailbox) Drain() int {
 	m.queue = m.queue[:0]
 	return n
 }
-
-// TryRecv returns the highest-priority message if one is queued, without
-// blocking. The second result reports whether a message was returned.
-func (m *Mailbox) TryRecv() (any, bool) {
-	if m.queue.Len() == 0 {
-		return nil, false
-	}
-	return heap.Pop(&m.queue).(*item).value, true
-}
-
-// Peek returns the highest-priority queued message without removing it.
-func (m *Mailbox) Peek() (any, bool) {
-	if m.queue.Len() == 0 {
-		return nil, false
-	}
-	return m.queue[0].value, true
-}

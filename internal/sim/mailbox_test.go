@@ -96,28 +96,36 @@ func TestMailboxRecvBlocksUntilSend(t *testing.T) {
 	}
 }
 
+// Mailbox has no non-blocking TryRecv or Peek: a Recv on a mailbox that
+// already holds messages is the non-blocking case. It returns the
+// highest-priority head at once, without advancing the clock, and Len counts
+// what is still queued.
 func TestMailboxTryRecvAndPeek(t *testing.T) {
 	k := NewKernel()
 	m := NewMailbox(k, "mb")
-	if _, ok := m.TryRecv(); ok {
-		t.Error("TryRecv on empty mailbox returned ok")
-	}
-	if _, ok := m.Peek(); ok {
-		t.Error("Peek on empty mailbox returned ok")
+	if m.Len() != 0 {
+		t.Errorf("Len of empty mailbox = %d", m.Len())
 	}
 	m.Send("a", PriorityData)
 	m.Send("b", PriorityBarrier)
-	if v, ok := m.Peek(); !ok || v != "b" {
-		t.Errorf("Peek = %v, %v", v, ok)
-	}
 	if m.Len() != 2 {
 		t.Errorf("Len = %d", m.Len())
 	}
-	if v, ok := m.TryRecv(); !ok || v != "b" {
-		t.Errorf("TryRecv = %v, %v", v, ok)
+	var got []any
+	var at []Time
+	var left []int
+	k.Spawn("recv", func(p *Proc) {
+		for i := 0; i < 2; i++ {
+			got = append(got, m.Recv(p))
+			at = append(at, p.Now())
+			left = append(left, m.Len())
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
-	if v, ok := m.TryRecv(); !ok || v != "a" {
-		t.Errorf("TryRecv = %v, %v", v, ok)
+	if fmt.Sprint(got) != "[b a]" || fmt.Sprint(at) != fmt.Sprint([]Time{0, 0}) || fmt.Sprint(left) != "[1 0]" {
+		t.Errorf("received %v at %v leaving %v queued, want [b a] at [0 0] leaving [1 0]", got, at, left)
 	}
 	if m.Name() != "mb" {
 		t.Errorf("Name = %q", m.Name())

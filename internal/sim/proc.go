@@ -90,9 +90,6 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
-// Tenant returns the process's tenant tag (0 outside multi-tenant runs).
-func (p *Proc) Tenant() int32 { return p.tenant }
-
 // SetTenant tags the process (and, transitively, every process it spawns and
 // every event emitted while it runs) as belonging to tenant t. Call it right
 // after Spawn, before the process first runs; the multi-tenant harness tags
@@ -104,9 +101,6 @@ func (p *Proc) SetTenant(t int32) { p.tenant = t }
 // it right after Spawn, like SetTenant. A field write — free, and harmless
 // when no recorder is attached.
 func (p *Proc) SetSubsystem(s obs.Subsystem) { p.subsys = s }
-
-// Subsystem returns the process's current obs region.
-func (p *Proc) Subsystem() obs.Subsystem { return p.subsys }
 
 // EnterRegion shifts the process's obs region to s for the duration of a
 // cross-layer call and returns the previous region for ExitRegion. The

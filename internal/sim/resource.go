@@ -53,16 +53,6 @@ func (r *Resource) Acquire(p *Proc, prio Priority) {
 	// Our waker granted the unit on our behalf before scheduling the wake.
 }
 
-// TryAcquire acquires a unit without blocking; it reports success. Waiting
-// processes are not bypassed: TryAcquire fails while anyone queues.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.capacity && r.queue.Len() == 0 {
-		r.inUse++
-		return true
-	}
-	return false
-}
-
 // Release returns one unit and hands it to the highest-priority waiter, if
 // any. Safe to call from scheduler callbacks as well as processes.
 func (r *Resource) Release() {

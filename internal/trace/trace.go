@@ -169,22 +169,6 @@ func (tr *Trace) Offset(off sim.Time) *Trace {
 	}
 }
 
-// Scale returns a copy of the trace with every sample multiplied by factor.
-func (tr *Trace) Scale(factor float64) *Trace {
-	if factor <= 0 {
-		panic("trace: non-positive scale factor")
-	}
-	s := make([]Bandwidth, len(tr.samples))
-	for i, v := range tr.samples {
-		nv := Bandwidth(float64(v) * factor)
-		if nv < minBandwidth {
-			nv = minBandwidth
-		}
-		s[i] = nv
-	}
-	return &Trace{name: fmt.Sprintf("%s*%.2f", tr.name, factor), interval: tr.interval, samples: s}
-}
-
 // Samples returns a copy of the underlying sample slice.
 func (tr *Trace) Samples() []Bandwidth {
 	out := make([]Bandwidth, len(tr.samples))

@@ -155,24 +155,6 @@ func TestOffset(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	tr := New("x", sim.Second, []Bandwidth{100, 200})
-	sc := tr.Scale(0.5)
-	if sc.At(0) != 50 || sc.At(sim.Second) != 100 {
-		t.Errorf("Scale values = %v, %v", sc.At(0), sc.At(sim.Second))
-	}
-	tiny := tr.Scale(1e-9)
-	if tiny.At(0) < minBandwidth {
-		t.Errorf("Scale under-floored: %v", tiny.At(0))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Scale(0) did not panic")
-		}
-	}()
-	tr.Scale(0)
-}
-
 func TestSamplesCopy(t *testing.T) {
 	tr := New("x", sim.Second, []Bandwidth{100, 200})
 	s := tr.Samples()

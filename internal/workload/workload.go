@@ -34,23 +34,11 @@ type Image struct {
 	Bytes int64
 }
 
-// Pixels returns the pixel count (1 byte/pixel).
-func (im Image) Pixels() int64 { return im.Bytes }
-
 // Config parameterises workload generation.
 type Config struct {
 	ImagesPerServer int
 	MeanBytes       int64
 	SpreadFrac      float64
-}
-
-// DefaultConfig returns the paper's workload parameters.
-func DefaultConfig() Config {
-	return Config{
-		ImagesPerServer: DefaultImagesPerServer,
-		MeanBytes:       DefaultMeanBytes,
-		SpreadFrac:      DefaultSpreadFrac,
-	}
 }
 
 // Generate produces the image sequences for numServers servers,

@@ -7,8 +7,16 @@ import (
 	"time"
 )
 
+// paperConfig is the paper's workload: 180 images of about 128 KB per
+// server.
+var paperConfig = Config{
+	ImagesPerServer: DefaultImagesPerServer,
+	MeanBytes:       DefaultMeanBytes,
+	SpreadFrac:      DefaultSpreadFrac,
+}
+
 func TestGenerateShape(t *testing.T) {
-	images := Generate(1, 8, DefaultConfig())
+	images := Generate(1, 8, paperConfig)
 	if len(images) != 8 {
 		t.Fatalf("servers = %d", len(images))
 	}
@@ -28,7 +36,7 @@ func TestGenerateShape(t *testing.T) {
 }
 
 func TestGenerateDistribution(t *testing.T) {
-	images := Generate(42, 20, DefaultConfig())
+	images := Generate(42, 20, paperConfig)
 	var sum, sumSq, n float64
 	for _, seq := range images {
 		for _, im := range seq {
@@ -49,8 +57,8 @@ func TestGenerateDistribution(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(7, 2, DefaultConfig())
-	b := Generate(7, 2, DefaultConfig())
+	a := Generate(7, 2, paperConfig)
+	b := Generate(7, 2, paperConfig)
 	for s := range a {
 		for i := range a[s] {
 			if a[s][i] != b[s][i] {
@@ -89,12 +97,6 @@ func TestComposeDuration(t *testing.T) {
 func TestMeanBytesEmpty(t *testing.T) {
 	if MeanBytes(nil) != DefaultMeanBytes {
 		t.Error("empty mean wrong")
-	}
-}
-
-func TestImagePixels(t *testing.T) {
-	if (Image{Bytes: 99}).Pixels() != 99 {
-		t.Error("pixels != bytes")
 	}
 }
 
