@@ -235,7 +235,7 @@ func main() {
 	}{
 		{*traceOut, func(f *os.File) error { return telemetry.WritePerfetto(f, rec.Events(), hostNames) }},
 		{*eventsOut, func(f *os.File) error { return telemetry.WriteJSONL(f, rec.Events()) }},
-		{*metricsOut, func(f *os.File) error { return telemetry.WriteMetricsCSV(f, col.Snapshot()) }},
+		{*metricsOut, func(f *os.File) error { return col.WriteCSV(f) }},
 	} {
 		if out.path == "" {
 			continue

@@ -44,6 +44,7 @@ func main() {
 		{*servers >= 2, "-servers must be at least 2"},
 		{*iters >= 1, "-iters must be at least 1"},
 		{*period > 0, "-period must be positive"},
+		{*workers >= 0, "-workers must be >= 0"},
 	} {
 		if !check.ok {
 			fmt.Fprintf(os.Stderr, "experiments: %s\n", check.msg)

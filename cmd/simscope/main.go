@@ -240,20 +240,7 @@ func cmdCritPath(args []string, stdout io.Writer) error {
 	if len(outcomes) > 0 {
 		fmt.Fprint(stdout, analysis.FormatPathComparisons(analysis.ComparePredictions(outcomes, paths, events)))
 	}
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			return err
-		}
-		if err := analysis.WriteCritPathCSV(f, paths); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeCSV(*csvPath, func(w io.Writer) error { return analysis.WriteCritPathCSV(w, paths) })
 }
 
 func cmdEstimator(args []string, stdout io.Writer) error {
@@ -284,20 +271,7 @@ func cmdEstimator(args []string, stdout io.Writer) error {
 		return nil
 	}
 	fmt.Fprint(stdout, analysis.FormatEstimatorReport(rep))
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			return err
-		}
-		if err := analysis.WriteEstimatorCSV(f, rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeCSV(*csvPath, func(w io.Writer) error { return analysis.WriteEstimatorCSV(w, rep) })
 }
 
 func cmdPerf(args []string, stdout io.Writer) error {
@@ -321,20 +295,7 @@ func cmdPerf(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "== %s ==\n", filepath.Base(fs.Arg(0)))
 	fmt.Fprint(stdout, rep.Format())
-	if *csvPath != "" {
-		cf, err := os.Create(*csvPath)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteCSV(cf); err != nil {
-			cf.Close()
-			return err
-		}
-		if err := cf.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeCSV(*csvPath, rep.WriteCSV)
 }
 
 func cmdAllocs(args []string, stdout io.Writer) error {
@@ -377,21 +338,24 @@ func cmdAllocs(args []string, stdout io.Writer) error {
 		v := analysis.VerifyBudgets(rep, budgets, 10)
 		analysis.WriteAllocVerification(stdout, v, rep)
 	}
+	return writeCSV(*csvPath, rep.WriteCSV)
+}
 
-	if *csvPath != "" {
-		cf, err := os.Create(*csvPath)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteCSV(cf); err != nil {
-			cf.Close()
-			return err
-		}
-		if err := cf.Close(); err != nil {
-			return err
-		}
+// writeCSV creates path and writes it through write, reporting a failed
+// create, write or close; an empty path (no -csv flag) writes nothing.
+func writeCSV(path string, write func(io.Writer) error) error {
+	if path == "" {
+		return nil
 	}
-	return nil
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func cmdDiff(args []string, stdout io.Writer) (bool, error) {

@@ -76,7 +76,7 @@ type Observe struct {
 	// scheduling, transfers, demands, relocations, barriers, faults), each
 	// tagged with the tenant of the process that emitted it. Pass a
 	// *telemetry.Collector here (alone or through telemetry.Multi) to derive
-	// metrics, and snapshot it after the run.
+	// metrics, and write them with its WriteCSV after the run.
 	Telemetry telemetry.Sink
 	// Perf attaches a host-process performance recorder: the kernel
 	// attributes wall time per subsystem, counts events and transfers, and

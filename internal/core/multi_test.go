@@ -171,8 +171,8 @@ func multiDigest(t *testing.T, cfg MultiConfig) (MultiResult, []byte, []byte) {
 		t.Fatalf("RunMulti: %v", err)
 	}
 	var csv bytes.Buffer
-	if err := telemetry.WriteMetricsCSV(&csv, col.Snapshot()); err != nil {
-		t.Fatalf("WriteMetricsCSV: %v", err)
+	if err := col.WriteCSV(&csv); err != nil {
+		t.Fatalf("WriteCSV: %v", err)
 	}
 	return res, jsonlBytes(t, rec.Events()), csv.Bytes()
 }

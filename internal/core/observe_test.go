@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -106,7 +109,6 @@ type observed struct {
 	res       any
 	jsonl     []byte
 	csv       []byte
-	metrics   *telemetry.Snapshot
 	estEvents []telemetry.Event
 	lookups   int
 	perf      *obs.Report
@@ -153,10 +155,9 @@ func observe(t *testing.T, c matrixCase, observer string) observed {
 		kept = append(kept, ev)
 	}
 	out.jsonl = jsonlBytes(t, kept)
-	out.metrics = col.Snapshot()
 	var csv bytes.Buffer
-	if err := telemetry.WriteMetricsCSV(&csv, out.metrics); err != nil {
-		t.Fatalf("WriteMetricsCSV: %v", err)
+	if err := col.WriteCSV(&csv); err != nil {
+		t.Fatalf("WriteCSV: %v", err)
 	}
 	out.csv = csv.Bytes()
 	return out
@@ -202,16 +203,35 @@ func TestDeterministicReplay(t *testing.T) {
 	})
 }
 
+// metricsCSVDigests pins the SHA-256 of each case's metrics CSV, by
+// subtest path. The other columns compare two runs' CSVs, which a format
+// change made in both would pass; these digests catch it.
+var metricsCSVDigests = map[string]string{
+	"download-all/fault-free": "9447685392ae38a4710577496183299ccca511553bec5fbd25464a9ef9c2c8a8",
+	"download-all/faulty":     "580c35732303ad072bb82710e6ee177338e89f47f6a2edec75ca88f9af3b0290",
+	"global/fault-free":       "00871762f3d49e6e500971b1eeacacf7342a38378a2fb0e3fedb786432a85b78",
+	"global/faulty":           "1164985ac7243416cadc955d4e89aa2fc4723eb22e9be6943cfad56271c39deb",
+	"local/fault-free":        "c4a2173125205e5c218326e64368ba60947ba57eaef536a5d58d75d015d04c35",
+	"local/faulty":            "e5342f1e50fbeae25e7fa4bbbd5049b39f7defd441b76c8b2737ec8a0f0d269e",
+	"one-shot/fault-free":     "c4a2173125205e5c218326e64368ba60947ba57eaef536a5d58d75d015d04c35",
+	"one-shot/faulty":         "9046a5dbfee116c7763f79d080d5a5755dffd26524a3a57c46ce73bf42f36baf",
+	"multi-10":                "ca3cb5fc05ef0878cebd1db126a73b0f89948fafb7c9500c23d7808bae8cd2ff",
+}
+
 // TestTelemetryDoesNotPerturbDeterminism is the telemetry column: a
 // recorder and a metrics collector leave the result as the unobserved
-// run's, and the collector counts the run's transfers. Telemetry is
-// observation, never actuation.
+// run's, the collector counts the run's transfers, and the metrics CSV
+// matches its pinned digest. Telemetry is observation, never actuation.
 func TestTelemetryDoesNotPerturbDeterminism(t *testing.T) {
 	forEachCase(t, true, func(t *testing.T, c matrixCase) {
 		plain, ref := baseline(t, c)
 		sameResult(t, plain, ref)
-		if ref.metrics.Counters["net.transfers"] == 0 {
-			t.Error("metrics snapshot recorded no transfers")
+		if bytes.Contains(ref.csv, []byte("\ncounter,net.transfers,,0\n")) {
+			t.Error("metrics CSV recorded no transfers")
+		}
+		_, path, _ := strings.Cut(t.Name(), "/")
+		if got := fmt.Sprintf("%x", sha256.Sum256(ref.csv)); got != metricsCSVDigests[path] {
+			t.Errorf("metrics CSV SHA-256 = %s, want %s", got, metricsCSVDigests[path])
 		}
 	})
 }

@@ -32,13 +32,11 @@ type Fig2Result struct {
 func Figure2(seed int64, index int) *Fig2Result {
 	pool := trace.NewStudyPool(seed)
 	tr := pool.Trace(index % pool.Size())
-	_, sbw := trace.VariationSeries(tr, NoonOffset, 10*sim.Minute, 120)
-	_, lbw := trace.VariationSeries(tr, 0, tr.Duration(), 240)
 	return &Fig2Result{
 		TraceName: tr.Name(),
 		Stats:     trace.Analyze(tr, 0.10),
-		ShortBW:   sbw,
-		LongBW:    lbw,
+		ShortBW:   trace.VariationSeries(tr, NoonOffset, 10*sim.Minute, 120),
+		LongBW:    trace.VariationSeries(tr, 0, tr.Duration(), 240),
 	}
 }
 

@@ -38,8 +38,8 @@ type Options struct {
 	Faults faults.Config
 	// TelemetryDir, when set, writes per-cell telemetry into the directory
 	// (created if missing): c<config>_<alg>.events.jsonl with the cell's
-	// model-level event log and c<config>_<alg>.metrics.csv with its metric
-	// snapshot. Empty disables telemetry entirely.
+	// model-level event log and c<config>_<alg>.metrics.csv with its
+	// metrics. Empty disables telemetry entirely.
 	TelemetryDir string
 	// Perf, when set, receives sweep-level progress: the work meter counts
 	// cells (AddWork/WorkDone) and each finished cell folds its kernel event
@@ -186,7 +186,7 @@ func RunSweep(o Options, shape core.TreeShape, algs []AlgSpec, pool *trace.Pool)
 			Observe:    core.Observe{Telemetry: sink},
 		})
 		if err == nil && o.TelemetryDir != "" {
-			err = writeCellTelemetry(o.TelemetryDir, c, a.Name, rec, col.Snapshot())
+			err = writeCellTelemetry(o.TelemetryDir, c, a.Name, rec, col)
 		}
 		if err != nil {
 			return 0, fmt.Errorf("config %d, %s: %w", c, a.Name, err)
@@ -248,8 +248,8 @@ func runCells(o Options, n int, cell func(i int) (events int64, err error)) erro
 	return errors.Join(errs...)
 }
 
-// writeCellTelemetry dumps one cell's event log and metric snapshot into dir.
-func writeCellTelemetry(dir string, config int, alg string, rec *telemetry.Recorder, snap *telemetry.Snapshot) error {
+// writeCellTelemetry dumps one cell's event log and metrics into dir.
+func writeCellTelemetry(dir string, config int, alg string, rec *telemetry.Recorder, col *telemetry.Collector) error {
 	base := fmt.Sprintf("c%03d_%s", config, alg)
 	ef, err := os.Create(filepath.Join(dir, base+".events.jsonl"))
 	if err != nil {
@@ -266,7 +266,7 @@ func writeCellTelemetry(dir string, config int, alg string, rec *telemetry.Recor
 	if err != nil {
 		return fmt.Errorf("creating metrics file: %w", err)
 	}
-	if err := telemetry.WriteMetricsCSV(mf, snap); err != nil {
+	if err := col.WriteCSV(mf); err != nil {
 		mf.Close()
 		return err
 	}

@@ -423,31 +423,23 @@ func isNil(s Sink) bool {
 	return !v.IsValid() || v.Kind() == reflect.Pointer && v.IsNil()
 }
 
-// filter forwards only events accepted by keep.
-type filter struct {
-	next Sink
-	keep func(Kind) bool
-}
+// modelOnly forwards only model-level events.
+type modelOnly struct{ next Sink }
 
-func (f *filter) Emit(ev Event) {
-	if f.keep(ev.Kind) {
-		f.next.Emit(ev)
+func (m *modelOnly) Emit(ev Event) {
+	if !ev.Kind.Kernel() {
+		m.next.Emit(ev)
 	}
-}
-
-// Filter wraps a sink so it only sees events whose kind keep accepts.
-func Filter(next Sink, keep func(Kind) bool) Sink {
-	if next == nil {
-		return nil
-	}
-	return &filter{next: next, keep: keep}
 }
 
 // ModelOnly wraps a sink so it only sees model-level events, dropping the
 // very high-volume kernel scheduler kinds. Exported event logs and timelines
 // are built from this view.
 func ModelOnly(next Sink) Sink {
-	return Filter(next, func(k Kind) bool { return !k.Kernel() })
+	if next == nil {
+		return nil
+	}
+	return &modelOnly{next}
 }
 
 // Recorder is an in-memory sink, the staging buffer for exporters and the

@@ -263,24 +263,27 @@ func TestChangePointsMatchAnalyze(t *testing.T) {
 
 func TestVariationSeries(t *testing.T) {
 	tr := New("x", sim.Second, []Bandwidth{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	times, bws := VariationSeries(tr, 2*sim.Second, 4*sim.Second, 100)
-	if len(times) != 4 || len(bws) != 4 {
-		t.Fatalf("lens = %d, %d", len(times), len(bws))
-	}
-	if bws[0] != 3 || bws[3] != 6 {
-		t.Errorf("bws = %v", bws)
-	}
-	if times[0] != 0 {
-		t.Errorf("times not relative: %v", times)
-	}
-	// Decimation.
-	times, _ = VariationSeries(tr, 0, 10*sim.Second, 5)
-	if len(times) > 6 {
-		t.Errorf("decimation failed: %d points", len(times))
-	}
-	// Degenerate maxPoints.
-	times, _ = VariationSeries(tr, 0, sim.Second, 0)
-	if len(times) != 1 {
-		t.Errorf("degenerate = %d", len(times))
+	for _, tc := range []struct {
+		from, window sim.Time
+		maxPoints    int
+		stride, n    int // trace intervals between points, points returned
+	}{
+		{2 * sim.Second, 4 * sim.Second, 100, 1, 4}, // fits: every sample
+		{0, 10 * sim.Second, 5, 2, 5},               // decimated
+		{0, 10 * sim.Second, 3, 3, 4},               // stride 10/3 leaves a fourth point
+		{0, sim.Second, 0, 1, 1},                    // degenerate maxPoints
+	} {
+		bws := VariationSeries(tr, tc.from, tc.window, tc.maxPoints)
+		if len(bws) != tc.n {
+			t.Errorf("from %v window %v max %d: %d points, want %d",
+				tc.from, tc.window, tc.maxPoints, len(bws), tc.n)
+			continue
+		}
+		for i, b := range bws {
+			if at := tc.from + sim.Time(i*tc.stride)*sim.Second; b != tr.At(at) {
+				t.Errorf("from %v window %v max %d: point %d = %v, want tr.At(%v) = %v",
+					tc.from, tc.window, tc.maxPoints, i, b, at, tr.At(at))
+			}
+		}
 	}
 }

@@ -96,10 +96,12 @@ func (tr *Trace) ChangePoints(threshold float64) []ChangePoint {
 	return cps
 }
 
-// VariationSeries returns (time, bandwidth) pairs covering window starting at
-// from, decimated to at most maxPoints points. It reproduces the two plots of
-// the paper's Figure 2 (first ten minutes, and the full two days).
-func VariationSeries(tr *Trace, from, window sim.Time, maxPoints int) (times []sim.Time, bws []Bandwidth) {
+// VariationSeries returns the bandwidth samples covering window starting at
+// from, taking every stride-th trace interval, where stride is the window's
+// interval count over maxPoints rounded down (at least 1); that leaves fewer
+// than 2*maxPoints points. It reproduces the two plots of the paper's Figure 2
+// (first ten minutes, and the full two days).
+func VariationSeries(tr *Trace, from, window sim.Time, maxPoints int) []Bandwidth {
 	if maxPoints <= 0 {
 		maxPoints = 1
 	}
@@ -111,10 +113,9 @@ func VariationSeries(tr *Trace, from, window sim.Time, maxPoints int) (times []s
 	if n > maxPoints {
 		stride = n / maxPoints
 	}
+	var bws []Bandwidth
 	for i := 0; i < n; i += stride {
-		t := from + sim.Time(i)*tr.interval
-		times = append(times, t-from)
-		bws = append(bws, tr.At(t))
+		bws = append(bws, tr.At(from+sim.Time(i)*tr.interval))
 	}
-	return times, bws
+	return bws
 }
