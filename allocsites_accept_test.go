@@ -55,7 +55,7 @@ func TestAllocObservabilityAcceptance(t *testing.T) {
 	if len(budgets) == 0 {
 		t.Fatal("no //lint:allocbudget annotations found in the repository")
 	}
-	v := analysis.VerifyBudgets(rep, budgets, 10)
+	v := analysis.VerifyBudgets(rep, budgets)
 	if !v.Confirmed() {
 		for _, verdict := range v.Verdicts {
 			if verdict.Status != "confirmed" {

@@ -180,7 +180,7 @@ func BenchmarkSimProcessSwitch(b *testing.B) {
 // BenchmarkTraceTransferDuration measures piecewise-constant bandwidth
 // integration over a two-day trace.
 func BenchmarkTraceTransferDuration(b *testing.B) {
-	tr := trace.Generate("bench", 1, trace.DefaultGenParams(trace.KBps(40)))
+	tr := trace.Generate("bench", 1, trace.KBps(40), trace.StudySwitchProb)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = tr.TransferDuration(sim.Time(i%1000)*sim.Minute, 128*1024)
@@ -190,7 +190,7 @@ func BenchmarkTraceTransferDuration(b *testing.B) {
 // BenchmarkTraceGenerate measures synthetic two-day trace generation.
 func BenchmarkTraceGenerate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_ = trace.Generate("bench", int64(i), trace.DefaultGenParams(trace.KBps(40)))
+		_ = trace.Generate("bench", int64(i), trace.KBps(40), trace.StudySwitchProb)
 	}
 }
 

@@ -15,14 +15,14 @@
 //
 // -trace-out writes a Chrome trace-event/Perfetto timeline (open it at
 // https://ui.perfetto.dev), -events-out the raw structured event log as JSON
-// Lines, and -metrics-out the run's metric registry as CSV. -perf prints a
-// host-process performance report (per-subsystem wall-time shares,
-// events/sec), -perf-out writes it as JSON for `simscope perf`, -progress
-// prints a heartbeat to stderr, and -cpuprofile/-memprofile capture pprof
-// profiles labelled by subsystem and tenant. -allocs prints an alloc-site
-// report (every allocation attributed to the subsystem that made it, joined
-// against the //lint:allocbudget declarations), and -allocs-out writes it
-// as JSON for `simscope allocs`.
+// Lines, and -metrics-out the metrics a Collector derives from the run's
+// events as CSV. -perf prints a host-process performance report
+// (per-subsystem wall-time shares, events/sec), -perf-out writes it as JSON
+// for `simscope perf`, -progress prints a heartbeat to stderr, and
+// -cpuprofile/-memprofile capture pprof profiles labelled by subsystem and
+// tenant. -allocs prints an alloc-site report (every allocation attributed
+// to the subsystem that made it, joined against the //lint:allocbudget
+// declarations), and -allocs-out writes it as JSON for `simscope allocs`.
 package main
 
 import (
@@ -379,7 +379,7 @@ func emitAllocReport(rep *obs.AllocReport, print bool, outPath string) {
 		} else if budgets, err := lint.CollectBudgets(root); err != nil {
 			fmt.Fprintf(os.Stderr, "combine: collecting budgets: %v\n", err)
 		} else {
-			v := analysis.VerifyBudgets(rep, budgets, 10)
+			v := analysis.VerifyBudgets(rep, budgets)
 			analysis.WriteAllocVerification(os.Stdout, v, rep)
 		}
 	}

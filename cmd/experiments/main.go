@@ -25,10 +25,10 @@ func main() {
 	var (
 		fig      = flag.String("fig", "all", "figure to regenerate: 2, 6, 7, 8, 9, 10, discussion, ordering, ablations, faults, multitenant, estimator or all")
 		configs  = flag.Int("configs", 300, "number of network configurations")
-		servers  = flag.Int("servers", 8, "number of servers (figures 6, 7, 9, 10)")
+		servers  = flag.Int("servers", 8, "number of servers (every figure but 2, and 8, which sweeps 4 to 32)")
 		iters    = flag.Int("iters", 180, "images per server")
 		seed     = flag.Int64("seed", 1, "random seed")
-		period   = flag.Duration("period", 10*time.Minute, "relocation period (figures 6, 7, 8, 10)")
+		period   = flag.Duration("period", 10*time.Minute, "relocation period (every figure but 2, and 9, which sweeps 2m to 1h)")
 		workers  = flag.Int("workers", 0, "max concurrent simulations (0: number of CPUs)")
 		telDir   = flag.String("telemetry-dir", "", "write per-cell event logs and metrics into this directory")
 		progress = flag.Duration("progress", 0, "print a sweep progress heartbeat to stderr at this interval (e.g. 5s; 0 disables)")

@@ -335,7 +335,7 @@ func cmdAllocs(args []string, stdout io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("collecting budgets under %s: %w", root, err)
 		}
-		v := analysis.VerifyBudgets(rep, budgets, 10)
+		v := analysis.VerifyBudgets(rep, budgets)
 		analysis.WriteAllocVerification(stdout, v, rep)
 	}
 	return writeCSV(*csvPath, rep.WriteCSV)

@@ -48,7 +48,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
 			os.Exit(1)
 		}
-		st := trace.Analyze(tr, 0.10)
+		st := trace.Analyze(tr)
 		fmt.Printf("trace %s: %d samples at %v (%.1fh)\n", tr.Name(), tr.Len(), tr.Interval(),
 			tr.Duration().Seconds()/3600)
 		fmt.Printf("mean %.1f KB/s, min %.1f, max %.1f, CoV %.2f, >=10%% change interval %v\n",
@@ -59,7 +59,7 @@ func main() {
 		var intervals []float64
 		for i := 0; i < pool.Size(); i++ {
 			tr := pool.Trace(i)
-			st := trace.Analyze(tr, 0.10)
+			st := trace.Analyze(tr)
 			tbl.AddRow(tr.Name(), st.Mean.KBps(), st.Min.KBps(), st.Max.KBps(),
 				st.CoV, st.SignificantChangeInterval.Round(time.Second).String())
 			intervals = append(intervals, st.SignificantChangeInterval.Seconds())

@@ -46,9 +46,9 @@ type BudgetVerdict struct {
 // the ranked unbudgeted hot sites.
 type AllocVerification struct {
 	Verdicts []BudgetVerdict `json:"verdicts"`
-	// Candidates are the hottest module allocation sites in functions that
-	// carry no //lint:allocbudget annotation — the ordered work list for
-	// pooling/reuse, excluding test files.
+	// Candidates are the ten hottest module allocation sites in functions
+	// that carry no //lint:allocbudget annotation — the ordered work list
+	// for pooling/reuse, excluding test files.
 	Candidates []obs.AllocSite `json:"candidates"`
 	// OverBudget counts verdicts whose status is "over-budget".
 	OverBudget int `json:"over_budget"`
@@ -57,12 +57,11 @@ type AllocVerification struct {
 // Confirmed reports whether every declared budget held.
 func (v *AllocVerification) Confirmed() bool { return v.OverBudget == 0 }
 
+// maxCandidates bounds the ranked list of unbudgeted hot sites.
+const maxCandidates = 10
+
 // VerifyBudgets joins an alloc-site report against the declared budgets.
-// topCandidates bounds the candidate list (<= 0 means 10).
-func VerifyBudgets(rep *obs.AllocReport, budgets []lint.Budget, topCandidates int) *AllocVerification {
-	if topCandidates <= 0 {
-		topCandidates = 10
-	}
+func VerifyBudgets(rep *obs.AllocReport, budgets []lint.Budget) *AllocVerification {
 	budgeted := make(map[string]bool, len(budgets))
 	for _, b := range budgets {
 		budgeted[b.Func] = true
@@ -89,7 +88,7 @@ func VerifyBudgets(rep *obs.AllocReport, budgets []lint.Budget, topCandidates in
 		v.Verdicts = append(v.Verdicts, verdict)
 	}
 	for _, s := range rep.Sites {
-		if len(v.Candidates) >= topCandidates {
+		if len(v.Candidates) >= maxCandidates {
 			break
 		}
 		if budgeted[s.Func] || !strings.HasPrefix(s.Func, moduleFuncPrefix) ||

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -40,7 +41,7 @@ func verificationFixture() (*obs.AllocReport, []lint.Budget) {
 
 func TestVerifyBudgets(t *testing.T) {
 	rep, budgets := verificationFixture()
-	v := VerifyBudgets(rep, budgets, 10)
+	v := VerifyBudgets(rep, budgets)
 
 	if len(v.Verdicts) != 3 {
 		t.Fatalf("got %d verdicts, want 3", len(v.Verdicts))
@@ -78,7 +79,7 @@ func TestVerifyBudgets(t *testing.T) {
 func TestVerifyBudgetsOverBudget(t *testing.T) {
 	rep, budgets := verificationFixture()
 	budgets[0].Budget = 1 // schedule observed 2 distinct lines
-	v := VerifyBudgets(rep, budgets, 10)
+	v := VerifyBudgets(rep, budgets)
 	if v.OverBudget != 1 || v.Confirmed() {
 		t.Fatalf("OverBudget = %d, Confirmed = %v, want 1/false", v.OverBudget, v.Confirmed())
 	}
@@ -90,20 +91,29 @@ func TestVerifyBudgetsOverBudget(t *testing.T) {
 }
 
 func TestVerifyBudgetsCandidateCap(t *testing.T) {
-	rep, _ := verificationFixture()
-	v := VerifyBudgets(rep, nil, 1)
-	if len(v.Candidates) != 1 {
-		t.Fatalf("got %d candidates with cap 1, want 1", len(v.Candidates))
+	// Twelve unbudgeted module sites, hottest first as the report ranks
+	// them: the list keeps the ten hottest, in order.
+	rep := &obs.AllocReport{Ops: 1, ProfileRate: 1}
+	for i := 0; i < 12; i++ {
+		rep.Sites = append(rep.Sites, obs.AllocSite{
+			Func: fmt.Sprintf("wadc/internal/core.site%d", i), File: "internal/core/core.go",
+			Line: 10 + i, Subsystem: "other", Allocs: int64(1200 - 100*i), Bytes: 100,
+		})
 	}
-	// Ranked: the cap keeps the hottest site.
-	if v.Candidates[0].Allocs != 600 {
-		t.Errorf("capped candidate Allocs = %d, want the hottest (600)", v.Candidates[0].Allocs)
+	v := VerifyBudgets(rep, nil)
+	if len(v.Candidates) != 10 {
+		t.Fatalf("got %d candidates from 12 sites, want 10", len(v.Candidates))
+	}
+	for i, c := range v.Candidates {
+		if c.Allocs != int64(1200-100*i) {
+			t.Errorf("candidate %d Allocs = %d, want %d", i, c.Allocs, 1200-100*i)
+		}
 	}
 }
 
 func TestWriteAllocVerification(t *testing.T) {
 	rep, budgets := verificationFixture()
-	v := VerifyBudgets(rep, budgets, 10)
+	v := VerifyBudgets(rep, budgets)
 	var b strings.Builder
 	WriteAllocVerification(&b, v, rep)
 	out := b.String()

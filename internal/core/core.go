@@ -136,7 +136,6 @@ type Shared struct {
 	NetworkTransfers int64
 	BytesMoved       int64
 	// Fault-injection accounting (all zero when Faults is unset).
-	FaultPlan          *faults.Plan
 	CrashesFired       int
 	MessagesDropped    int64
 	MessagesDuplicated int64

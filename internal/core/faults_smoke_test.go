@@ -38,9 +38,6 @@ func TestFaultsSmoke(t *testing.T) {
 			if len(res.Arrivals) != 12 {
 				t.Fatalf("arrivals = %d, want 12", len(res.Arrivals))
 			}
-			if res.FaultPlan == nil {
-				t.Fatal("no fault plan recorded")
-			}
 			t.Logf("%s: completion=%v crashes=%d dropped=%d dup=%d cut=%d retries=%d reinst=%d",
 				name, res.Completion, res.CrashesFired, res.MessagesDropped,
 				res.MessagesDuplicated, res.TransfersCut, res.Retries, res.Reinstantiations)

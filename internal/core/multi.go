@@ -148,11 +148,11 @@ func RunMulti(cfg MultiConfig) (MultiResult, error) {
 		seen[sp.ID] = true
 		shape, err := ParseShape(sp.Shape)
 		if err != nil {
-			return MultiResult{}, err
+			return MultiResult{}, fmt.Errorf("tenant %d: %w", sp.ID, err)
 		}
 		policy, err := NewPolicy(sp.Algorithm, PolicyOptions{Period: cfg.Period, Seed: sp.Seed})
 		if err != nil {
-			return MultiResult{}, err
+			return MultiResult{}, fmt.Errorf("tenant %d: %w", sp.ID, err)
 		}
 		runs[i] = &tenantRun{spec: sp, shape: shape, policy: policy}
 	}
@@ -214,13 +214,12 @@ func simulate(cfg MultiConfig, runs []*tenantRun) (MultiResult, error) {
 	// topology — the client host is protected — and install the injector.
 	// Everything is seeded, so a faulty run replays bit-for-bit.
 	var inj *faults.Injector
-	var faultPlan *faults.Plan
 	if cfg.Faults.Enabled() {
 		fcfg := cfg.Faults
 		if fcfg.Seed == 0 {
 			fcfg.Seed = cfg.Seed*1000003 + 17
 		}
-		faultPlan = fcfg.Plan
+		faultPlan := fcfg.Plan
 		if faultPlan == nil {
 			faultPlan = faults.Generate(fcfg, net.NumHosts(), client.ID())
 		}
@@ -330,12 +329,11 @@ func simulate(cfg MultiConfig, runs []*tenantRun) (MultiResult, error) {
 	}
 	res.JainFairness = metrics.JainIndex(throughputs)
 	if inj != nil {
-		res.FaultPlan = faultPlan
 		res.CrashesFired = inj.CrashesFired()
 		res.MessagesDropped, res.MessagesDuplicated, res.TransfersCut = net.FaultCounts()
 	}
 	if cfg.Perf != nil {
-		res.Perf = cfg.Perf.Report()
+		res.Perf = cfg.Perf.Report(net.Transfers(), net.BytesMoved())
 	}
 	return res, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -310,7 +311,8 @@ func TestRunMultiContention(t *testing.T) {
 	}
 }
 
-// TestRunMultiValidation rejects malformed configurations up front.
+// TestRunMultiValidation rejects malformed configurations up front; an
+// unknown algorithm or shape name is reported with the tenant's ID.
 func TestRunMultiValidation(t *testing.T) {
 	base := MultiConfig{
 		Seed: 1, NumServers: 4, Links: constLinks(1024),
@@ -319,28 +321,40 @@ func TestRunMultiValidation(t *testing.T) {
 	cases := []struct {
 		name    string
 		tenants []tenant.Spec
+		want    string // substring of the error, if checked
 	}{
-		{"no tenants", nil},
+		{"no tenants", nil, ""},
 		{"duplicate IDs", []tenant.Spec{
 			{ID: 1, Seed: 1, NumServers: 2, Iterations: 1, Algorithm: "one-shot"},
 			{ID: 1, Seed: 2, NumServers: 2, Iterations: 1, Algorithm: "one-shot"},
-		}},
+		}, ""},
 		{"zero ID", []tenant.Spec{
 			{ID: 0, Seed: 1, NumServers: 2, Iterations: 1, Algorithm: "one-shot"},
-		}},
+		}, ""},
 		{"unknown algorithm", []tenant.Spec{
 			{ID: 1, Seed: 1, NumServers: 2, Iterations: 1, Algorithm: "mystery"},
-		}},
+		}, `tenant 1: core: unknown placement algorithm "mystery"`},
+		{"unknown algorithm after a valid tenant", []tenant.Spec{
+			{ID: 1, Seed: 1, NumServers: 2, Iterations: 1, Algorithm: "local"},
+			{ID: 2, Seed: 2, NumServers: 2, Iterations: 1, Algorithm: "nope"},
+		}, `tenant 2: core: unknown placement algorithm "nope"`},
+		{"unknown shape", []tenant.Spec{
+			{ID: 1, Seed: 1, NumServers: 2, Iterations: 1, Algorithm: "local", Shape: "star"},
+		}, `tenant 1: core: unknown tree shape "star"`},
 		{"oversubscribed pool", []tenant.Spec{
 			{ID: 1, Seed: 1, NumServers: 9, Iterations: 1, Algorithm: "one-shot"},
-		}},
+		}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base
 			cfg.Tenants = tc.tenants
-			if _, err := RunMulti(cfg); err == nil {
-				t.Error("config accepted")
+			_, err := RunMulti(cfg)
+			if err == nil {
+				t.Fatal("config accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not contain %q", err, tc.want)
 			}
 		})
 	}

@@ -432,7 +432,7 @@ func (n *node) produce(p *sim.Proc, it int) {
 			Iter: int32(it), Bytes: f.got[f.last], Dur: int64(gateAt - fetchStart),
 		})
 	}
-	dur := workload.DefaultComposeDuration(f.got[0], f.got[1])
+	dur := workload.ComposeDuration(f.got[0], f.got[1])
 	e.cfg.Net.Host(n.host).Compute(p, dur)
 	now := e.k.Now()
 	n.held = &heldData{iter: it, bytes: workload.ComposeBytes(f.got[0], f.got[1]), readyAt: now}

@@ -25,10 +25,6 @@ import (
 	"wadc/internal/trace"
 )
 
-// RegimeThreshold is the paper's significant-bandwidth-change statistic: a
-// regime change is a >= 10 % departure from the previous significant level.
-const RegimeThreshold = 0.10
-
 // minValidityWindow floors the truth-averaging window so an estimate used at
 // the very edge of its T_thres lifetime is still compared against a
 // non-degenerate stretch of ground truth.
@@ -114,7 +110,7 @@ func (t *Tracker) Consumed(viewer, a, b netmodel.HostID, est trace.Bandwidth,
 func (t *Tracker) detect(viewer, a, b netmodel.HostID, measuredAt, now sim.Time, seq int64) {
 	ls, ok := t.links[[2]netmodel.HostID{a, b}]
 	if !ok {
-		ls = &linkState{cps: t.net.Link(a, b).ChangePoints(RegimeThreshold)}
+		ls = &linkState{cps: t.net.Link(a, b).ChangePoints()}
 		t.links[[2]netmodel.HostID{a, b}] = ls
 	}
 	if ls.next >= len(ls.cps) || measuredAt < ls.cps[ls.next].At {

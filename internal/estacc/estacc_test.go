@@ -38,7 +38,7 @@ func newRig(withSink bool, link *trace.Trace) *rig {
 }
 
 func genLink(seed int64) *trace.Trace {
-	return trace.Generate("est", seed, trace.DefaultGenParams(trace.KBps(64)))
+	return trace.Generate("est", seed, trace.KBps(64), trace.StudySwitchProb)
 }
 
 // TestConsumedJoinsGroundTruth pins the full join: one consumption emits one
@@ -146,7 +146,7 @@ func TestProbeCostAccrues(t *testing.T) {
 // never re-reported.
 func TestDetectionLagAgainstSchedule(t *testing.T) {
 	link := genLink(6)
-	cps := link.ChangePoints(RegimeThreshold)
+	cps := link.ChangePoints()
 	if len(cps) < 3 {
 		t.Fatalf("trace has %d change points, need >= 3", len(cps))
 	}

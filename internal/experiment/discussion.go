@@ -120,7 +120,7 @@ func Ordering(o Options) (*OrderingResult, error) {
 		{Name: "global", New: func(o Options, _ int64) placement.Policy { return &placement.Global{Period: o.Period} }},
 	}
 	for _, shape := range []core.TreeShape{core.CompleteBinaryTree, core.LeftDeepTree, core.GreedyBandwidthTree} {
-		sweep, err := RunSweep(o, shape, algs, nil)
+		sweep, err := RunSweep(o.sweepDir(shape.String()), shape, algs)
 		if err != nil {
 			return nil, err
 		}

@@ -31,8 +31,8 @@ import (
 type estimatorRegime struct {
 	Name string
 	// SwitchProb is the per-sample congestion-switch probability
-	// (trace.DefaultGenParams uses 0.083 ~= one significant change per two
-	// minutes, the paper's calibration).
+	// (trace.StudySwitchProb, 0.083 ~= one significant change per two
+	// minutes, is the paper's calibration).
 	SwitchProb float64
 }
 
@@ -74,11 +74,10 @@ var estimatorTThresValues = []time.Duration{10 * time.Second, 40 * time.Second, 
 // message, a quarter of the paper's budget, and the paper's full 64 entries.
 var estimatorPiggybackEntries = []int{1, 16, 64}
 
-// estimatorRegimes brackets the paper's calibrated volatility (0.083 ~= one
-// significant change per two minutes).
+// estimatorRegimes brackets the paper's calibrated volatility.
 var estimatorRegimes = []estimatorRegime{
 	{Name: "calm", SwitchProb: 0.02},
-	{Name: "paper", SwitchProb: 0.083},
+	{Name: "paper", SwitchProb: trace.StudySwitchProb},
 	{Name: "volatile", SwitchProb: 0.3},
 }
 
@@ -161,10 +160,8 @@ func regimeLinks(seed int64, servers int, switchProb float64) core.LinkFn {
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
 			base := trace.KBps(20 + 80*rng.Float64())
-			p := trace.DefaultGenParams(base)
-			p.SwitchProb = switchProb
 			k := [2]netmodel.HostID{netmodel.HostID(a), netmodel.HostID(b)}
-			traces[k] = trace.Generate(fmt.Sprintf("sp%.3f-%d-%d", switchProb, a, b), rng.Int63(), p)
+			traces[k] = trace.Generate(fmt.Sprintf("sp%.3f-%d-%d", switchProb, a, b), rng.Int63(), base, switchProb)
 		}
 	}
 	return func(a, b netmodel.HostID) *trace.Trace {

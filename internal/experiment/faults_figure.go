@@ -75,9 +75,9 @@ func FigureFaults(o Options, rates []float64) (*FigFaultsResult, error) {
 		Duplicated:       make([]int64, len(rates)),
 	}
 	for i, rate := range rates {
-		ro := o
+		ro := o.sweepDir(fmt.Sprintf("faults-%g", rate))
 		ro.Faults = FaultConfigAt(rate)
-		sweep, err := RunSweep(ro, core.CompleteBinaryTree, algs, nil)
+		sweep, err := RunSweep(ro, core.CompleteBinaryTree, algs)
 		if err != nil {
 			return nil, fmt.Errorf("fault rate %g: %w", rate, err)
 		}

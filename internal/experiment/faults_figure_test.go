@@ -17,7 +17,7 @@ func TestRunSweepAggregatesAllErrors(t *testing.T) {
 		{Name: "good", New: func(Options, int64) placement.Policy { return placement.DownloadAll{} }},
 		{Name: "broken", New: func(Options, int64) placement.Policy { return nil }},
 	}
-	_, err := RunSweep(o, core.CompleteBinaryTree, algs, nil)
+	_, err := RunSweep(o, core.CompleteBinaryTree, algs)
 	if err == nil {
 		t.Fatal("sweep with a nil policy succeeded")
 	}
@@ -40,7 +40,7 @@ func TestRunSweepPartialFailureKeepsGoodJobsOut(t *testing.T) {
 	algs := []AlgSpec{
 		{Name: "broken", New: func(Options, int64) placement.Policy { return nil }},
 	}
-	sweep, err := RunSweep(o, core.CompleteBinaryTree, algs, nil)
+	sweep, err := RunSweep(o, core.CompleteBinaryTree, algs)
 	if err == nil || sweep != nil {
 		t.Fatalf("want nil sweep + error, got %v, %v", sweep, err)
 	}

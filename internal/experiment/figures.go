@@ -34,7 +34,7 @@ func Figure2(seed int64, index int) *Fig2Result {
 	tr := pool.Trace(index % pool.Size())
 	return &Fig2Result{
 		TraceName: tr.Name(),
-		Stats:     trace.Analyze(tr, 0.10),
+		Stats:     trace.Analyze(tr),
 		ShortBW:   trace.VariationSeries(tr, NoonOffset, 10*sim.Minute, 120),
 		LongBW:    trace.VariationSeries(tr, 0, tr.Duration(), 240),
 	}
@@ -84,7 +84,7 @@ type Fig6Result struct {
 // Figure6 runs the main experiment: all four algorithms on every
 // configuration.
 func Figure6(o Options) (*Fig6Result, error) {
-	sweep, err := RunSweep(o, core.CompleteBinaryTree, StandardAlgorithms(), nil)
+	sweep, err := RunSweep(o, core.CompleteBinaryTree, StandardAlgorithms())
 	if err != nil {
 		return nil, err
 	}
@@ -100,8 +100,8 @@ func Figure6(o Options) (*Fig6Result, error) {
 	for _, alg := range []string{"download-all", "one-shot", "global", "local"} {
 		r.Interarrival[alg] = sweep.MeanInterarrival(alg)
 	}
-	r.GlobalOverOneShot = metrics.Ratio(sweep.Completions("one-shot"), sweep.Completions("global"))
-	r.GlobalOverLocal = metrics.Ratio(sweep.Completions("local"), sweep.Completions("global"))
+	r.GlobalOverOneShot = metrics.Speedups(sweep.Completions("one-shot"), sweep.Completions("global"))
+	r.GlobalOverLocal = metrics.Speedups(sweep.Completions("local"), sweep.Completions("global"))
 	return r, nil
 }
 
@@ -113,7 +113,7 @@ func (r *Fig6Result) Render() string {
 	for _, alg := range []string{"one-shot", "global", "local"} {
 		s := metrics.SortedCopy(r.Speedups[alg])
 		fmt.Fprintf(&sb, "  %-9s %s  %s\n", alg, metrics.Sparkline(s, 50), metrics.Summarize(s))
-		fmt.Fprintf(&sb, "  %-9s median speedup %s\n", "", metrics.MedianCI(r.Speedups[alg], 1))
+		fmt.Fprintf(&sb, "  %-9s median speedup %s\n", "", metrics.MedianCI(r.Speedups[alg]))
 	}
 	fmt.Fprintf(&sb, "  median global/one-shot ratio: %.2f (paper: ~1.4)\n",
 		metrics.Median(r.GlobalOverOneShot))
@@ -158,7 +158,7 @@ func Figure7(o Options) (*Fig7Result, error) {
 			},
 		})
 	}
-	sweep, err := RunSweep(o, core.CompleteBinaryTree, algs, nil)
+	sweep, err := RunSweep(o, core.CompleteBinaryTree, algs)
 	if err != nil {
 		return nil, err
 	}
@@ -203,9 +203,9 @@ func Figure8(o Options, serverCounts []int) (*Fig8Result, error) {
 	}
 	r := &Fig8Result{Servers: serverCounts, AvgSpeedup: make(map[string][]float64)}
 	for _, s := range serverCounts {
-		oo := o
+		oo := o.sweepDir(fmt.Sprintf("servers-%d", s))
 		oo.Servers = s
-		sweep, err := RunSweep(oo, core.CompleteBinaryTree, StandardAlgorithms(), nil)
+		sweep, err := RunSweep(oo, core.CompleteBinaryTree, StandardAlgorithms())
 		if err != nil {
 			return nil, err
 		}
@@ -265,7 +265,7 @@ func Figure9(o Options, periods []time.Duration) (*Fig9Result, error) {
 			},
 		})
 	}
-	sweep, err := RunSweep(o, core.CompleteBinaryTree, algs, nil)
+	sweep, err := RunSweep(o, core.CompleteBinaryTree, algs)
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +308,7 @@ type Fig10Result struct {
 func Figure10(o Options) (*Fig10Result, error) {
 	r := &Fig10Result{Speedups: make(map[string]map[string][]float64)}
 	for _, shape := range []core.TreeShape{core.CompleteBinaryTree, core.LeftDeepTree} {
-		sweep, err := RunSweep(o, shape, StandardAlgorithms(), nil)
+		sweep, err := RunSweep(o.sweepDir(shape.String()), shape, StandardAlgorithms())
 		if err != nil {
 			return nil, err
 		}

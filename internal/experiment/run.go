@@ -14,6 +14,7 @@ import (
 	"wadc/internal/obs"
 	"wadc/internal/placement"
 	"wadc/internal/telemetry"
+	"wadc/internal/tenant"
 	"wadc/internal/trace"
 	"wadc/internal/workload"
 )
@@ -39,7 +40,9 @@ type Options struct {
 	// TelemetryDir, when set, writes per-cell telemetry into the directory
 	// (created if missing): c<config>_<alg>.events.jsonl with the cell's
 	// model-level event log and c<config>_<alg>.metrics.csv with its
-	// metrics. Empty disables telemetry entirely.
+	// metrics. A figure that runs several sweeps writes each into a
+	// subdirectory named after the value it varies (servers-16, left-deep,
+	// faults-0.5). Empty disables telemetry entirely.
 	TelemetryDir string
 	// Perf, when set, receives sweep-level progress: the work meter counts
 	// cells (AddWork/WorkDone) and each finished cell folds its kernel event
@@ -73,6 +76,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// sweepDir gives one sweep of a multi-sweep figure its own telemetry
+// subdirectory, so the sweeps' same-named cell files do not overwrite each
+// other.
+func (o Options) sweepDir(name string) Options {
+	if o.TelemetryDir != "" {
+		o.TelemetryDir = filepath.Join(o.TelemetryDir, name)
+	}
+	return o
+}
+
 func (o Options) workloadConfig() workload.Config {
 	return workload.Config{
 		ImagesPerServer: o.Iterations,
@@ -88,14 +101,21 @@ type AlgSpec struct {
 	New  func(o Options, runSeed int64) placement.Policy
 }
 
-// StandardAlgorithms returns the paper's four algorithms.
+// StandardAlgorithms returns the paper's four algorithms: each of
+// tenant.DefaultAlgorithms built by core.NewPolicy with the sweep's period
+// and the run's seed.
 func StandardAlgorithms() []AlgSpec {
-	return []AlgSpec{
-		{Name: "download-all", New: func(Options, int64) placement.Policy { return placement.DownloadAll{} }},
-		{Name: "one-shot", New: func(Options, int64) placement.Policy { return placement.OneShot{} }},
-		{Name: "global", New: func(o Options, _ int64) placement.Policy { return &placement.Global{Period: o.Period} }},
-		{Name: "local", New: func(o Options, seed int64) placement.Policy { return &placement.Local{Period: o.Period, Seed: seed} }},
+	algs := make([]AlgSpec, len(tenant.DefaultAlgorithms))
+	for i, name := range tenant.DefaultAlgorithms {
+		algs[i] = AlgSpec{Name: name, New: func(o Options, seed int64) placement.Policy {
+			p, err := core.NewPolicy(name, core.PolicyOptions{Period: o.Period, Seed: seed})
+			if err != nil {
+				panic(err) // every default algorithm name is one NewPolicy builds
+			}
+			return p
+		}}
 	}
+	return algs
 }
 
 // Cell is one (configuration, algorithm) result.
@@ -149,19 +169,16 @@ func (s *Sweep) MeanInterarrival(alg string) float64 {
 // so each algorithm faces the identical workload and trace assignment.
 func runSeed(base int64, config int) int64 { return base*7919 + int64(config) }
 
-// RunSweep runs every algorithm on every configuration. The pool defaults to
-// the study pool derived from the options seed.
-func RunSweep(o Options, shape core.TreeShape, algs []AlgSpec, pool *trace.Pool) (*Sweep, error) {
+// RunSweep runs every algorithm on every configuration, drawing the links
+// from the study pool of the options seed.
+func RunSweep(o Options, shape core.TreeShape, algs []AlgSpec) (*Sweep, error) {
 	o = o.withDefaults()
-	if pool == nil {
-		pool = trace.NewStudyPool(o.Seed)
-	}
 	if o.TelemetryDir != "" {
 		if err := os.MkdirAll(o.TelemetryDir, 0o755); err != nil {
 			return nil, fmt.Errorf("experiment: creating telemetry dir: %w", err)
 		}
 	}
-	assignments := GenerateAssignments(pool, o.Configs, o.Servers, o.Seed)
+	assignments := GenerateAssignments(trace.NewStudyPool(o.Seed), o.Configs, o.Servers, o.Seed)
 
 	// Cell i is configuration i/len(algs) under algorithm i%len(algs).
 	results := make([]Cell, len(assignments)*len(algs))

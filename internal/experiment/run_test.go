@@ -73,7 +73,7 @@ func TestAssignmentLinkFnSymmetric(t *testing.T) {
 }
 
 func TestRunSweepShapes(t *testing.T) {
-	sweep, err := RunSweep(quickOpts(), core.CompleteBinaryTree, StandardAlgorithms(), nil)
+	sweep, err := RunSweep(quickOpts(), core.CompleteBinaryTree, StandardAlgorithms())
 	if err != nil {
 		t.Fatalf("RunSweep: %v", err)
 	}
@@ -110,11 +110,11 @@ func TestRunSweepShapes(t *testing.T) {
 func TestRunSweepDeterministic(t *testing.T) {
 	o := quickOpts()
 	o.Configs = 2
-	a, err := RunSweep(o, core.CompleteBinaryTree, StandardAlgorithms(), nil)
+	a, err := RunSweep(o, core.CompleteBinaryTree, StandardAlgorithms())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSweep(o, core.CompleteBinaryTree, StandardAlgorithms(), nil)
+	b, err := RunSweep(o, core.CompleteBinaryTree, StandardAlgorithms())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestRunCellsReportsEveryFailure(t *testing.T) {
 			t.Errorf("error %v does not report %q", err, want)
 		}
 	}
-	rep := o.Perf.Report()
+	rep := o.Perf.Report(0, 0)
 	if rep.WorkTotal != 5 || rep.WorkDone != 3 || rep.Events != 60 {
 		t.Errorf("work %d/%d, events %d; want 3/5 and 60", rep.WorkDone, rep.WorkTotal, rep.Events)
 	}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -20,7 +21,7 @@ func TestRunSweepTelemetryDir(t *testing.T) {
 	o.Configs = 2
 	o.TelemetryDir = dir
 	algs := StandardAlgorithms()
-	sweep, err := RunSweep(o, core.CompleteBinaryTree, algs, nil)
+	sweep, err := RunSweep(o, core.CompleteBinaryTree, algs)
 	if err != nil {
 		t.Fatalf("RunSweep: %v", err)
 	}
@@ -57,5 +58,39 @@ func TestRunSweepTelemetryDir(t *testing.T) {
 	}
 	if len(sweep.Cells) != len(algs) {
 		t.Fatalf("sweep lost cells: %d algorithms", len(sweep.Cells))
+	}
+}
+
+// TestFigureFaultsTelemetryPerRate: a figure that runs one sweep per fault
+// rate writes each sweep into its own subdirectory, so no rate's cell files
+// overwrite another's, and the faulty rate's logs differ from the
+// fault-free ones.
+func TestFigureFaultsTelemetryPerRate(t *testing.T) {
+	dir := t.TempDir()
+	o := quickOpts()
+	o.Configs = 1
+	o.Iterations = 10
+	o.TelemetryDir = dir
+	if _, err := FigureFaults(o, []float64{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	logs := make(map[string][]byte)
+	for _, rate := range []string{"faults-0", "faults-1"} {
+		for _, a := range StandardAlgorithms() {
+			base := filepath.Join(dir, rate, "c000_"+a.Name)
+			events, err := os.ReadFile(base + ".events.jsonl")
+			if err != nil {
+				t.Fatalf("rate %s, %s: %v", rate, a.Name, err)
+			}
+			if _, err := os.Stat(base + ".metrics.csv"); err != nil {
+				t.Fatalf("rate %s, %s: %v", rate, a.Name, err)
+			}
+			if a.Name == "global" {
+				logs[rate] = events
+			}
+		}
+	}
+	if bytes.Equal(logs["faults-0"], logs["faults-1"]) {
+		t.Error("the fault-free and faulty global cells left identical event logs")
 	}
 }

@@ -10,7 +10,7 @@ import (
 func TestTimingFullScale(t *testing.T) {
 	start := time.Now()
 	o := Options{Configs: 2, Servers: 8, Iterations: 180, Seed: 1}
-	sweep, err := RunSweep(o, core.CompleteBinaryTree, StandardAlgorithms(), nil)
+	sweep, err := RunSweep(o, core.CompleteBinaryTree, StandardAlgorithms())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func TestTimingFullScale(t *testing.T) {
 	}
 	start = time.Now()
 	o32 := Options{Configs: 1, Servers: 32, Iterations: 180, Seed: 1}
-	_, err = RunSweep(o32, core.CompleteBinaryTree, StandardAlgorithms(), nil)
+	_, err = RunSweep(o32, core.CompleteBinaryTree, StandardAlgorithms())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package faults is the deterministic fault-injection subsystem: it turns a
 // seed and a handful of rates into an explicit, validated fault plan — host
-// crash/recover windows, per-link message drop and duplication
-// probabilities, and mid-transfer link blackouts — and provides the runtime
+// crash/recover windows, message drop and duplication probabilities, and
+// mid-transfer link blackouts — and provides the runtime
 // injector that imposes the plan on the simulated network.
 //
 // The paper's algorithms adapt to bandwidth *variation*; this package adds
@@ -97,14 +97,6 @@ type CrashWindow struct {
 	RecoverAt sim.Time
 }
 
-// LinkFault attaches message drop/duplication probabilities to the
-// undirected link A<->B.
-type LinkFault struct {
-	A, B     netmodel.HostID
-	DropProb float64
-	DupProb  float64
-}
-
 // LinkOutage makes the undirected link A<->B unusable during [Start, End):
 // any transfer in flight when the outage begins — or started during it — is
 // aborted and lost mid-flight.
@@ -117,8 +109,11 @@ type LinkOutage struct {
 // Plan is an explicit, fully deterministic fault schedule.
 type Plan struct {
 	Crashes []CrashWindow
-	Links   []LinkFault
-	Outages []LinkOutage
+	// DropProb is the probability that a completed remote transfer is lost
+	// before delivery, DupProb the probability that it is delivered twice;
+	// both apply to every link.
+	DropProb, DupProb float64
+	Outages           []LinkOutage
 }
 
 // Validate checks the plan's structural invariants: probabilities in [0, 1],
@@ -148,11 +143,8 @@ func (pl *Plan) Validate(numHosts int, protected netmodel.HostID) error {
 			}
 		}
 	}
-	for _, lf := range pl.Links {
-		if lf.DropProb < 0 || lf.DupProb < 0 || lf.DropProb+lf.DupProb > 1 {
-			return fmt.Errorf("faults: link %d<->%d has invalid probabilities drop=%v dup=%v",
-				lf.A, lf.B, lf.DropProb, lf.DupProb)
-		}
+	if pl.DropProb < 0 || pl.DupProb < 0 || pl.DropProb+pl.DupProb > 1 {
+		return fmt.Errorf("faults: invalid probabilities drop=%v dup=%v", pl.DropProb, pl.DupProb)
 	}
 	for _, o := range pl.Outages {
 		if o.End < o.Start {
@@ -171,7 +163,7 @@ func (pl *Plan) Validate(numHosts int, protected netmodel.HostID) error {
 func Generate(cfg Config, numHosts int, protected netmodel.HostID) *Plan {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	pl := &Plan{}
+	pl := &Plan{DropProb: cfg.DropProb, DupProb: cfg.DupProb}
 	horizon := sim.FromDuration(cfg.Horizon)
 
 	// Crash windows.
@@ -189,18 +181,6 @@ func Generate(cfg Config, numHosts int, protected netmodel.HostID) *Plan {
 			pl.Crashes = append(pl.Crashes, CrashWindow{Host: h, At: at, RecoverAt: at.Add(down)})
 		}
 		pl.Crashes = separateCrashes(pl.Crashes, horizon)
-	}
-
-	// Uniform per-link drop/duplication probabilities.
-	if cfg.DropProb > 0 || cfg.DupProb > 0 {
-		for a := 0; a < numHosts; a++ {
-			for b := a + 1; b < numHosts; b++ {
-				pl.Links = append(pl.Links, LinkFault{
-					A: netmodel.HostID(a), B: netmodel.HostID(b),
-					DropProb: cfg.DropProb, DupProb: cfg.DupProb,
-				})
-			}
-		}
 	}
 
 	// Link outages on random links.

@@ -98,7 +98,8 @@ func TestValidateRejects(t *testing.T) {
 			{Host: 0, At: 0, RecoverAt: 10 * sim.Second},
 			{Host: 0, At: 5 * sim.Second, RecoverAt: 20 * sim.Second},
 		}}},
-		{"bad probabilities", Plan{Links: []LinkFault{{A: 0, B: 1, DropProb: 0.8, DupProb: 0.4}}}},
+		{"bad probabilities", Plan{DropProb: 0.8, DupProb: 0.4}},
+		{"negative probability", Plan{DropProb: -0.1}},
 		{"outage ends early", Plan{Outages: []LinkOutage{{A: 0, B: 1, Start: 5 * sim.Second, End: 1 * sim.Second}}}},
 	}
 	for _, c := range cases {
@@ -109,9 +110,12 @@ func TestValidateRejects(t *testing.T) {
 }
 
 func TestInjectorCutDuring(t *testing.T) {
+	// The 0<->1 outages are listed out of start order, and an outage of
+	// another link (given with its endpoints reversed) overlaps them.
 	pl := &Plan{Outages: []LinkOutage{
-		{A: 0, B: 1, Start: 100 * sim.Second, End: 130 * sim.Second},
 		{A: 0, B: 1, Start: 200 * sim.Second, End: 230 * sim.Second},
+		{A: 3, B: 2, Start: 105 * sim.Second, End: 300 * sim.Second},
+		{A: 0, B: 1, Start: 100 * sim.Second, End: 130 * sim.Second},
 	}}
 	in := NewInjector(pl, rand.New(rand.NewSource(1)))
 	cases := []struct {
@@ -138,15 +142,21 @@ func TestInjectorCutDuring(t *testing.T) {
 			t.Errorf("case %d: CutDuring not symmetric", i)
 		}
 	}
+	if at, ok := in.CutDuring(2, 3, 0, 110*sim.Second); !ok || at != 105*sim.Second {
+		t.Errorf("CutDuring(2,3) = (%v,%v), want (105s,true)", at, ok)
+	}
+	if _, ok := in.CutDuring(0, 2, 0, 400*sim.Second); ok {
+		t.Error("CutDuring cut a link with no outage")
+	}
 }
 
 func TestInjectorFateFrequencies(t *testing.T) {
-	pl := &Plan{Links: []LinkFault{{A: 0, B: 1, DropProb: 0.3, DupProb: 0.2}}}
+	pl := &Plan{DropProb: 0.3, DupProb: 0.2}
 	in := NewInjector(pl, rand.New(rand.NewSource(5)))
 	const n = 20000
 	var drops, dups int
 	for i := 0; i < n; i++ {
-		switch in.Fate(1, 0) { // reversed order must hit the same link
+		switch in.Fate() {
 		case netmodel.FateDrop:
 			drops++
 		case netmodel.FateDuplicate:
@@ -159,15 +169,16 @@ func TestInjectorFateFrequencies(t *testing.T) {
 	if f := float64(dups) / n; f < 0.17 || f > 0.23 {
 		t.Errorf("dup frequency %.3f, want ~0.20", f)
 	}
-	// An unconfigured link consumes no randomness and always delivers.
-	inj2 := NewInjector(pl, rand.New(rand.NewSource(5)))
+	// A plan without drop or duplication consumes no randomness and always
+	// delivers.
+	inj2 := NewInjector(&Plan{}, rand.New(rand.NewSource(5)))
 	for i := 0; i < 100; i++ {
-		if inj2.Fate(2, 3) != netmodel.FateDeliver {
-			t.Fatal("unconfigured link faulted")
+		if inj2.Fate() != netmodel.FateDeliver {
+			t.Fatal("lossless plan faulted")
 		}
 	}
 	if got := inj2.rng.Int63(); got != rand.New(rand.NewSource(5)).Int63() {
-		t.Error("Fate on an unconfigured link consumed randomness")
+		t.Error("Fate under a lossless plan consumed randomness")
 	}
 }
 

@@ -21,42 +21,24 @@ type Injector struct {
 	plan *Plan
 	rng  *rand.Rand
 
-	down    map[netmodel.HostID]bool
-	links   map[[2]netmodel.HostID]LinkFault
-	outages map[[2]netmodel.HostID][]LinkOutage
+	down map[netmodel.HostID]bool
+	// outages is the plan's outages ordered by start.
+	outages []LinkOutage
 
 	crashFired int
-}
-
-func linkKey(a, b netmodel.HostID) [2]netmodel.HostID {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]netmodel.HostID{a, b}
 }
 
 // NewInjector builds an injector for the plan. rng is the dedicated fault
 // stream (derive it from the run seed).
 func NewInjector(plan *Plan, rng *rand.Rand) *Injector {
-	in := &Injector{
-		plan:    plan,
-		rng:     rng,
-		down:    make(map[netmodel.HostID]bool),
-		links:   make(map[[2]netmodel.HostID]LinkFault),
-		outages: make(map[[2]netmodel.HostID][]LinkOutage),
-	}
-	for _, lf := range plan.Links {
-		in.links[linkKey(lf.A, lf.B)] = lf
-	}
+	in := &Injector{plan: plan, rng: rng, down: make(map[netmodel.HostID]bool)}
 	for _, o := range plan.Outages {
-		k := linkKey(o.A, o.B)
-		in.outages[k] = append(in.outages[k], o)
+		if o.A > o.B {
+			o.A, o.B = o.B, o.A
+		}
+		in.outages = append(in.outages, o)
 	}
-	for k := range in.outages {
-		sort.Slice(in.outages[k], func(i, j int) bool {
-			return in.outages[k][i].Start < in.outages[k][j].Start
-		})
-	}
+	sort.Slice(in.outages, func(i, j int) bool { return in.outages[i].Start < in.outages[j].Start })
 	return in
 }
 
@@ -109,12 +91,15 @@ func (in *Injector) HostDown(h netmodel.HostID) bool { return in.down[h] }
 // CutDuring implements netmodel.FaultHook: the earliest outage on a<->b
 // whose window intersects [from, until).
 func (in *Injector) CutDuring(a, b netmodel.HostID, from, until sim.Time) (sim.Time, bool) {
-	for _, o := range in.outages[linkKey(a, b)] {
+	if a > b {
+		a, b = b, a
+	}
+	for _, o := range in.outages {
 		if o.Start >= until {
 			break // sorted by start: nothing later can intersect
 		}
-		if o.End <= from {
-			continue // already over
+		if o.A != a || o.B != b || o.End <= from {
+			continue // another link, or already over
 		}
 		at := o.Start
 		if at < from {
@@ -126,18 +111,18 @@ func (in *Injector) CutDuring(a, b netmodel.HostID, from, until sim.Time) (sim.T
 }
 
 // Fate implements netmodel.FaultHook: one uniform draw per transfer decides
-// drop vs duplicate vs normal delivery. Links with no configured fault cost
-// no draw, so a plan with only crash windows perturbs nothing else.
-func (in *Injector) Fate(a, b netmodel.HostID) netmodel.Fate {
-	lf, ok := in.links[linkKey(a, b)]
-	if !ok || (lf.DropProb <= 0 && lf.DupProb <= 0) {
+// drop vs duplicate vs normal delivery. A plan without drop or duplication
+// costs no draw, so a plan with only crash windows perturbs nothing else.
+func (in *Injector) Fate() netmodel.Fate {
+	pl := in.plan
+	if pl.DropProb <= 0 && pl.DupProb <= 0 {
 		return netmodel.FateDeliver
 	}
 	u := in.rng.Float64()
 	switch {
-	case u < lf.DropProb:
+	case u < pl.DropProb:
 		return netmodel.FateDrop
-	case u < lf.DropProb+lf.DupProb:
+	case u < pl.DropProb+pl.DupProb:
 		return netmodel.FateDuplicate
 	default:
 		return netmodel.FateDeliver

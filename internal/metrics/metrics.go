@@ -162,10 +162,6 @@ func Speedups(base, alg []float64) []float64 {
 	return out
 }
 
-// Ratio returns a[i]/b[i] per configuration (used for global-vs-local
-// comparisons).
-func Ratio(a, b []float64) []float64 { return Speedups(a, b) }
-
 // Sparkline renders xs as a compact unicode bar series, handy for showing
 // sorted per-configuration speedups in terminal output.
 func Sparkline(xs []float64, width int) string {

@@ -41,8 +41,6 @@ type Host struct {
 	cpu   *sim.Resource
 	disk  *sim.Resource
 	ports map[string]*sim.Mailbox
-
-	diskBandwidth float64 // bytes/s
 }
 
 // ID returns the host's identifier.
@@ -64,7 +62,7 @@ func (h *Host) Port(name string) *sim.Mailbox {
 
 // ReadDisk blocks p while size bytes are read from the host's disk.
 func (h *Host) ReadDisk(p *sim.Proc, size int64) {
-	d := time.Duration(float64(size) / h.diskBandwidth * float64(time.Second))
+	d := time.Duration(float64(size) / DefaultDiskBandwidth * float64(time.Second))
 	h.disk.Use(p, sim.PriorityData, d)
 }
 
@@ -86,9 +84,8 @@ type Message struct {
 	// monitor attaches its freshest bandwidth measurements here, within its
 	// 1 KB budget) and consumed on delivery.
 	Piggyback any
-	// SentAt and DeliveredAt are stamped by the network.
-	SentAt      sim.Time
-	DeliveredAt sim.Time
+	// SentAt is stamped by the network.
+	SentAt sim.Time
 }
 
 // Observer hooks message transfers; the monitoring subsystem implements it.
@@ -133,9 +130,9 @@ type FaultHook interface {
 	// a<->b goes dark, if any. A transfer spanning a cut is aborted at the
 	// cut and the message is lost mid-flight.
 	CutDuring(a, b HostID, from, until sim.Time) (sim.Time, bool)
-	// Fate draws the delivery fate for a transfer that completed on link
-	// a<->b (drop and duplication model lossy WAN paths).
-	Fate(a, b HostID) Fate
+	// Fate draws the delivery fate for a completed remote transfer (drop
+	// and duplication model lossy WAN paths).
+	Fate() Fate
 }
 
 // Network is the complete-graph network. Construct with NewNetwork, add
@@ -192,14 +189,13 @@ func (n *Network) Kernel() *sim.Kernel { return n.k }
 // AddHost creates a host with the given name.
 func (n *Network) AddHost(name string) *Host {
 	h := &Host{
-		id:            HostID(len(n.hosts)),
-		name:          name,
-		net:           n,
-		nic:           sim.NewResource(n.k, name+".nic", 1),
-		cpu:           sim.NewResource(n.k, name+".cpu", 1),
-		disk:          sim.NewResource(n.k, name+".disk", 1),
-		ports:         make(map[string]*sim.Mailbox),
-		diskBandwidth: DefaultDiskBandwidth,
+		id:    HostID(len(n.hosts)),
+		name:  name,
+		net:   n,
+		nic:   sim.NewResource(n.k, name+".nic", 1),
+		cpu:   sim.NewResource(n.k, name+".cpu", 1),
+		disk:  sim.NewResource(n.k, name+".disk", 1),
+		ports: make(map[string]*sim.Mailbox),
 	}
 	n.hosts = append(n.hosts, h)
 	return h
@@ -287,7 +283,6 @@ func (n *Network) Send(p *sim.Proc, msg *Message) {
 		for _, o := range n.observers {
 			o.BeforeSend(msg)
 		}
-		msg.DeliveredAt = n.k.Now()
 		for _, o := range n.observers {
 			o.AfterDeliver(msg, 0)
 		}
@@ -379,12 +374,8 @@ func (n *Network) Send(p *sim.Proc, msg *Message) {
 	heldFirst = false
 	first.nic.Release()
 
-	msg.DeliveredAt = n.k.Now()
 	n.transfers++
 	n.bytesMoved += msg.Size
-	if rec := n.k.Obs(); rec != nil {
-		rec.CountTransfer(msg.Size)
-	}
 	n.accountTransfer(msg, dur)
 	if tel := n.k.Telemetry(); tel != nil {
 		n.k.Emit(telemetry.Event{
@@ -406,7 +397,7 @@ func (n *Network) Send(p *sim.Proc, msg *Message) {
 			n.emitDrop(msg, "host-down")
 			return
 		}
-		switch n.faults.Fate(msg.Src, msg.Dst) {
+		switch n.faults.Fate() {
 		case FateDrop:
 			n.dropped++
 			n.emitDrop(msg, "drop")

@@ -102,7 +102,7 @@ func TestGCStatsSummary(t *testing.T) {
 func TestRecorderReportIncludesGC(t *testing.T) {
 	r := NewRecorder()
 	runtime.GC()
-	rep := r.Report()
+	rep := r.Report(0, 0)
 	if rep.GC == nil {
 		t.Fatal("Report.GC = nil, want populated GC stats")
 	}

@@ -88,12 +88,10 @@ type Recorder struct {
 
 	wall [NumSubsystems]atomic.Int64
 
-	events     atomic.Int64 // kernel events dispatched
-	transfers  atomic.Int64 // network transfers completed
-	bytesMoved atomic.Int64 // payload bytes across all transfers
-	virtualNs  atomic.Int64 // latest simulated timestamp seen
-	workDone   atomic.Int64 // progress units completed (e.g. image arrivals)
-	workTotal  atomic.Int64 // expected progress units, 0 if unknown
+	events    atomic.Int64 // kernel events dispatched
+	virtualNs atomic.Int64 // latest simulated timestamp seen
+	workDone  atomic.Int64 // progress units completed (e.g. image arrivals)
+	workTotal atomic.Int64 // expected progress units, 0 if unknown
 
 	peakHeap         atomic.Uint64
 	startMallocs     uint64
@@ -138,12 +136,6 @@ func (r *Recorder) Current() Subsystem { return r.cur }
 func (r *Recorder) CountEvent(vnowNs int64) {
 	r.events.Add(1)
 	r.virtualNs.Store(vnowNs)
-}
-
-// CountTransfer records one completed network transfer of size bytes.
-func (r *Recorder) CountTransfer(size int64) {
-	r.transfers.Add(1)
-	r.bytesMoved.Add(size)
 }
 
 // AddEvents folds n kernel events into the counter at once. Sweep
@@ -192,8 +184,6 @@ func (r *Recorder) LabelsEnabled() bool { return r.labelsEnabled }
 type snapshot struct {
 	wallNs    int64
 	events    int64
-	transfers int64
-	bytes     int64
 	virtualNs int64
 	workDone  int64
 	workTotal int64
@@ -203,8 +193,6 @@ func (r *Recorder) snap() snapshot {
 	return snapshot{
 		wallNs:    r.nowNs(),
 		events:    r.events.Load(),
-		transfers: r.transfers.Load(),
-		bytes:     r.bytesMoved.Load(),
 		virtualNs: r.virtualNs.Load(),
 		workDone:  r.workDone.Load(),
 		workTotal: r.workTotal.Load(),
@@ -212,9 +200,10 @@ func (r *Recorder) snap() snapshot {
 }
 
 // Report finalizes the region clock (attributing the tail to the current
-// subsystem) and returns the run's performance report. Call it once, after
-// the run completes, from the goroutine that owns the recorder.
-func (r *Recorder) Report() *Report {
+// subsystem) and returns the run's performance report, with the network's
+// transfer and byte totals as the run counted them. Call it once, after the
+// run completes, from the goroutine that owns the recorder.
+func (r *Recorder) Report(transfers, bytesMoved int64) *Report {
 	r.SwitchTo(r.cur) // accrue the tail; total == lastNs afterwards
 	total := r.lastNs
 	if total <= 0 {
@@ -228,8 +217,8 @@ func (r *Recorder) Report() *Report {
 	rep := &Report{
 		WallNs:        total,
 		Events:        r.events.Load(),
-		Transfers:     r.transfers.Load(),
-		BytesMoved:    r.bytesMoved.Load(),
+		Transfers:     transfers,
+		BytesMoved:    bytesMoved,
 		VirtualNs:     r.virtualNs.Load(),
 		WorkDone:      r.workDone.Load(),
 		WorkTotal:     r.workTotal.Load(),

@@ -34,7 +34,7 @@ func TestRecorderSharesSumToOne(t *testing.T) {
 	spin(time.Millisecond)
 	r.SwitchTo(SubsysNet)
 	spin(time.Millisecond)
-	rep := r.Report()
+	rep := r.Report(0, 0)
 
 	if got := rep.ShareSum(); got < 0.999 || got > 1.001 {
 		t.Fatalf("ShareSum = %v, want ~1.0", got)
@@ -65,12 +65,10 @@ func TestRecorderCounters(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.CountEvent(int64(i) * 1000)
 	}
-	r.CountTransfer(4096)
-	r.CountTransfer(4096)
 	r.AddWork(7)
 	r.AddWork(3)
 	r.WorkDone(4)
-	rep := r.Report()
+	rep := r.Report(2, 8192)
 
 	if rep.Events != 10 {
 		t.Errorf("Events = %d, want 10", rep.Events)
@@ -97,7 +95,7 @@ func TestReportFormat(t *testing.T) {
 	r.SwitchTo(SubsysSim)
 	spin(time.Millisecond)
 	r.CountEvent(5e9)
-	rep := r.Report()
+	rep := r.Report(0, 0)
 	out := rep.Format()
 	for _, want := range []string{
 		"host-process performance report",
@@ -116,8 +114,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	r := NewRecorder()
 	r.SwitchTo(SubsysDataflow)
 	r.CountEvent(123)
-	r.CountTransfer(999)
-	rep := r.Report()
+	rep := r.Report(1, 999)
 
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
@@ -136,7 +133,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 func TestReportCSV(t *testing.T) {
 	r := NewRecorder()
 	r.CountEvent(1)
-	rep := r.Report()
+	rep := r.Report(0, 0)
 	var buf bytes.Buffer
 	if err := rep.WriteCSV(&buf); err != nil {
 		t.Fatalf("WriteCSV: %v", err)

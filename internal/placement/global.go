@@ -39,10 +39,7 @@ func (g *Global) DecisionStats() DecisionStats { return g.au.Stats() }
 // InitialPlacement implements Policy: identical to the one-shot algorithm
 // (the global algorithm's only modification is at runtime).
 func (g *Global) InitialPlacement(p *sim.Proc, x *Instance) *plan.Placement {
-	g.au.Bind(p.Kernel(), "global")
-	d := g.au.StartDecision(x.ClientHost, -1)
-	bw := x.AuditedSnapshotBW(p, x.ClientHost, d)
-	return OneShotOptimizeAudited(x.DownloadAllPlacement(), x.Hosts, x.Model, bw, d)
+	return initialOneShot(p, x, &g.au, "global")
 }
 
 // Attach implements Policy: spawn the periodic placer process at the client.

@@ -65,10 +65,7 @@ func (l *Local) Decisions() int { return l.decisions }
 // InitialPlacement implements Policy: "The local algorithm uses the one-shot
 // algorithm to compute a good initial placement."
 func (l *Local) InitialPlacement(p *sim.Proc, x *Instance) *plan.Placement {
-	l.au.Bind(p.Kernel(), "local")
-	d := l.au.StartDecision(x.ClientHost, -1)
-	bw := x.AuditedSnapshotBW(p, x.ClientHost, d)
-	return OneShotOptimizeAudited(x.DownloadAllPlacement(), x.Hosts, x.Model, bw, d)
+	return initialOneShot(p, x, &l.au, "local")
 }
 
 // Attach implements Policy: install the relocation-window hook.

@@ -109,8 +109,15 @@ func (OneShot) Name() string { return "one-shot" }
 // decision record (OneShot is a stateless value, so its DecisionStats live
 // only in the event stream).
 func (OneShot) InitialPlacement(p *sim.Proc, x *Instance) *plan.Placement {
-	au := &Auditor{}
-	au.Bind(p.Kernel(), "one-shot")
+	return initialOneShot(p, x, &Auditor{}, "one-shot")
+}
+
+// initialOneShot is the start-up placement of the one-shot, global and
+// local algorithms: au, bound to the run's kernel under alg's name, audits
+// one optimisation pass from the download-all placement over snapshot
+// bandwidths, whose probes are charged to p.
+func initialOneShot(p *sim.Proc, x *Instance, au *Auditor, alg string) *plan.Placement {
+	au.Bind(p.Kernel(), alg)
 	d := au.StartDecision(x.ClientHost, -1)
 	bw := x.AuditedSnapshotBW(p, x.ClientHost, d)
 	return OneShotOptimizeAudited(x.DownloadAllPlacement(), x.Hosts, x.Model, bw, d)

@@ -1,9 +1,9 @@
 // Package telemetry is the simulator's structured observability layer: a
 // typed event stream emitted by every subsystem (sim kernel, network model,
 // dataflow engine, placement policies, monitor, fault injector) through a
-// pluggable Sink, a per-run metrics registry fed by a Collector sink, and
-// exporters for JSONL event logs, Chrome trace-event/Perfetto timelines and
-// CSV metric series.
+// pluggable Sink, a Collector sink that derives the run's metrics from the
+// stream and writes them as CSV, and exporters for JSONL event logs and
+// Chrome trace-event/Perfetto timelines.
 //
 // The package is a leaf: it imports nothing from the rest of the repository,
 // so every layer (including the sim kernel) can emit events without import

@@ -50,7 +50,8 @@ type Spec struct {
 	Idle bool
 }
 
-// Validate reports structural problems with the spec.
+// Validate reports structural problems with the spec. The algorithm and
+// shape names are checked where they are parsed, by core.RunMulti.
 func (s Spec) Validate() error {
 	if s.ID <= 0 {
 		return fmt.Errorf("tenant: ID must be positive, got %d", s.ID)
@@ -60,16 +61,6 @@ func (s Spec) Validate() error {
 	}
 	if !s.Idle && s.Iterations <= 0 {
 		return fmt.Errorf("tenant %d: non-idle tenant needs positive iterations", s.ID)
-	}
-	switch s.Algorithm {
-	case "download-all", "one-shot", "global", "local":
-	default:
-		return fmt.Errorf("tenant %d: unknown algorithm %q", s.ID, s.Algorithm)
-	}
-	switch s.Shape {
-	case "", "binary", "left-deep", "greedy":
-	default:
-		return fmt.Errorf("tenant %d: unknown shape %q", s.ID, s.Shape)
 	}
 	return nil
 }

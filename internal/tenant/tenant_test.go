@@ -146,8 +146,6 @@ func TestSpecValidate(t *testing.T) {
 		{ID: -1, NumServers: 2, Iterations: 1, Algorithm: "local"},
 		{ID: 1, NumServers: 1, Iterations: 1, Algorithm: "local"},
 		{ID: 1, NumServers: 2, Iterations: 0, Algorithm: "local"},
-		{ID: 1, NumServers: 2, Iterations: 1, Algorithm: "nope"},
-		{ID: 1, NumServers: 2, Iterations: 1, Algorithm: "local", Shape: "star"},
 	}
 	for i, sp := range bad {
 		if err := sp.Validate(); err == nil {

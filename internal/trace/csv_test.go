@@ -9,7 +9,7 @@ import (
 )
 
 func TestCSVRoundTrip(t *testing.T) {
-	orig := Generate("rt", 5, DefaultGenParams(KBps(40)))
+	orig := Generate("rt", 5, KBps(40), StudySwitchProb)
 	var sb strings.Builder
 	if err := WriteCSV(&sb, orig); err != nil {
 		t.Fatal(err)

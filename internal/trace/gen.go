@@ -8,97 +8,66 @@ import (
 	"wadc/internal/sim"
 )
 
-// GenParams controls the synthetic bandwidth generator. The generated process
-// is a Markov-modulated level (congestion regimes) times a diurnal cycle
-// times multiplicative lognormal noise — the standard shape of application-
-// level wide-area bandwidth, and sufficient to match the two statistics the
-// paper reports about its real traces: large long-term swings (Figure 2) and
-// an expected time between >= 10 % changes of about two minutes.
-type GenParams struct {
-	// Base is the uncongested mean bandwidth.
-	Base Bandwidth
-	// DiurnalAmplitude in [0,1) scales a 24-hour cosine (peak at 04:00 local,
-	// trough mid-afternoon). 0 disables the diurnal cycle.
-	DiurnalAmplitude float64
-	// NoiseSigma is the sigma of the per-sample multiplicative lognormal
-	// noise (as a fraction, e.g. 0.04).
-	NoiseSigma float64
-	// CongestionLevels are multipliers for the Markov congestion states;
-	// index 0 should be 1.0 (uncongested). The chain random-walks between
-	// adjacent states.
-	CongestionLevels []float64
-	// SwitchProb is the per-sample probability of moving to an adjacent
-	// congestion state. With Interval = 10 s, 0.083 yields a mean time
+// The generator's calibration. The generated process is a Markov-modulated
+// level (congestion regimes) times a diurnal cycle times multiplicative
+// lognormal noise — the standard shape of application-level wide-area
+// bandwidth, and sufficient to match the two statistics the paper reports
+// about its real traces: large long-term swings (Figure 2) and an expected
+// time between >= 10 % changes of about two minutes.
+const (
+	// diurnalAmplitude scales a 24-hour cosine (peak at 04:00 local, trough
+	// mid-afternoon).
+	diurnalAmplitude = 0.25
+	// noiseSigma is the sigma of the per-sample multiplicative lognormal
+	// noise.
+	noiseSigma = 0.04
+	// genInterval is the sample spacing.
+	genInterval = 10 * sim.Second
+	// genDuration is the trace length: the paper's traces span two days.
+	genDuration = 48 * sim.Hour
+	// StudySwitchProb is the study pool's per-sample probability of moving
+	// to an adjacent congestion state: at 10 s samples it yields a mean time
 	// between significant changes close to the paper's two minutes.
-	SwitchProb float64
-	// Interval is the sample spacing.
-	Interval sim.Time
-	// Duration is the total trace length (the paper's traces span two days).
-	Duration sim.Time
-}
+	StudySwitchProb = 0.083
+)
 
-// DefaultGenParams returns the calibrated defaults for a given base
-// bandwidth: 10 s samples over two days, moderate diurnal cycle, four
-// congestion regimes, and a switch probability tuned so the expected time
-// between >= 10 % changes is roughly two minutes.
-func DefaultGenParams(base Bandwidth) GenParams {
-	return GenParams{
-		Base:             base,
-		DiurnalAmplitude: 0.25,
-		NoiseSigma:       0.04,
-		CongestionLevels: []float64{1.0, 0.65, 0.4, 0.22},
-		SwitchProb:       0.083,
-		Interval:         10 * sim.Second,
-		Duration:         48 * sim.Hour,
-	}
-}
+// congestionLevels are the multipliers of the four Markov congestion
+// states, uncongested first; the chain random-walks between adjacent states.
+var congestionLevels = [...]float64{1.0, 0.65, 0.4, 0.22}
 
-// Generate produces a deterministic synthetic trace for the given seed.
-func Generate(name string, seed int64, p GenParams) *Trace {
-	if p.Interval <= 0 {
-		panic("trace: Generate requires a positive Interval")
-	}
-	if p.Duration < p.Interval {
-		p.Duration = p.Interval
-	}
-	if len(p.CongestionLevels) == 0 {
-		p.CongestionLevels = []float64{1.0}
-	}
+// Generate produces a deterministic synthetic two-day trace of 10 s samples
+// around the uncongested mean bandwidth base, moving to an adjacent
+// congestion state with probability switchProb per sample.
+func Generate(name string, seed int64, base Bandwidth, switchProb float64) *Trace {
 	rng := rand.New(rand.NewSource(seed))
-	n := int(p.Duration / p.Interval)
+	n := int(genDuration / genInterval)
 	samples := make([]Bandwidth, n)
 	state := 0
 	day := (24 * sim.Hour).Seconds()
 	for i := 0; i < n; i++ {
-		if rng.Float64() < p.SwitchProb {
-			state = stepState(rng, state, len(p.CongestionLevels))
+		if rng.Float64() < switchProb {
+			state = stepState(rng, state)
 		}
-		t := (sim.Time(i) * p.Interval).Seconds()
-		diurnal := 1.0
-		if p.DiurnalAmplitude > 0 {
-			// Peak at 04:00, trough at 16:00.
-			diurnal = 1 + p.DiurnalAmplitude*math.Cos(2*math.Pi*(t-4*3600)/day)
-		}
-		noise := math.Exp(rng.NormFloat64() * p.NoiseSigma)
-		bw := float64(p.Base) * p.CongestionLevels[state] * diurnal * noise
+		t := (sim.Time(i) * genInterval).Seconds()
+		// Peak at 04:00, trough at 16:00.
+		diurnal := 1 + diurnalAmplitude*math.Cos(2*math.Pi*(t-4*3600)/day)
+		noise := math.Exp(rng.NormFloat64() * noiseSigma)
+		bw := float64(base) * congestionLevels[state] * diurnal * noise
 		if bw < float64(minBandwidth) {
 			bw = float64(minBandwidth)
 		}
 		samples[i] = Bandwidth(bw)
 	}
-	return New(name, p.Interval, samples)
+	return New(name, genInterval, samples)
 }
 
 // stepState random-walks to an adjacent congestion state.
-func stepState(rng *rand.Rand, state, n int) int {
-	if n == 1 {
-		return 0
-	}
+func stepState(rng *rand.Rand, state int) int {
 	switch state {
 	case 0:
 		return 1
-	case n - 1:
-		return n - 2
+	case len(congestionLevels) - 1:
+		return state - 1
 	default:
 		if rng.Intn(2) == 0 {
 			return state - 1
@@ -135,15 +104,13 @@ func (r Region) String() string {
 	return names[r]
 }
 
-// StudyHosts is the default host list of the bandwidth study: eight US hosts
-// across the four US regions, three European hosts, one Brazilian host — a
-// 12-host study yielding 66 host-pair traces, comfortably more than the 36
-// links of the paper's nine-node experiment graph.
-func StudyHosts() []Region {
-	return []Region{
-		USEast, USEast, USWest, USWest, USMidwest, USMidwest, USSouth, USSouth,
-		Spain, France, Austria, Brazil,
-	}
+// studyHosts is the host list of the bandwidth study: eight US hosts across
+// the four US regions, three European hosts, one Brazilian host — a 12-host
+// study yielding 66 host-pair traces, comfortably more than the 36 links of
+// the paper's nine-node experiment graph.
+var studyHosts = [...]Region{
+	USEast, USEast, USWest, USWest, USMidwest, USMidwest, USSouth, USSouth,
+	Spain, France, Austria, Brazil,
 }
 
 // pairBase returns the 1998-era application-level base bandwidth for a host
@@ -174,24 +141,19 @@ type Pool struct {
 	traces []*Trace
 }
 
-// NewStudyPool generates the full pair-wise trace library for the default
-// study hosts, deterministically from seed. Each pair's base bandwidth is
-// jittered by up to ±30 % so no two traces are statistically identical.
+// NewStudyPool generates a trace for every unordered pair of the study
+// hosts, deterministically from seed. Each pair's base bandwidth is jittered
+// by up to ±30 % so no two traces are statistically identical.
 func NewStudyPool(seed int64) *Pool {
-	return NewPool(seed, StudyHosts())
-}
-
-// NewPool generates a trace for every unordered pair of the given hosts.
-func NewPool(seed int64, hosts []Region) *Pool {
+	hosts := studyHosts
 	rng := rand.New(rand.NewSource(seed))
 	p := &Pool{}
 	for i := 0; i < len(hosts); i++ {
 		for j := i + 1; j < len(hosts); j++ {
 			base := pairBase(hosts[i], hosts[j])
 			jitter := 0.7 + 0.6*rng.Float64()
-			params := DefaultGenParams(Bandwidth(float64(base) * jitter))
 			name := fmt.Sprintf("%s<->%s#%d", hosts[i], hosts[j], len(p.traces))
-			p.traces = append(p.traces, Generate(name, rng.Int63(), params))
+			p.traces = append(p.traces, Generate(name, rng.Int63(), Bandwidth(float64(base)*jitter), StudySwitchProb))
 		}
 	}
 	return p

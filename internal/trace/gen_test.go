@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,8 +14,8 @@ import (
 )
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := Generate("a", 7, DefaultGenParams(KBps(50)))
-	b := Generate("a", 7, DefaultGenParams(KBps(50)))
+	a := Generate("a", 7, KBps(50), StudySwitchProb)
+	b := Generate("a", 7, KBps(50), StudySwitchProb)
 	if a.Len() != b.Len() {
 		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
 	}
@@ -21,7 +24,7 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Fatalf("sample %d differs", i)
 		}
 	}
-	c := Generate("a", 8, DefaultGenParams(KBps(50)))
+	c := Generate("a", 8, KBps(50), StudySwitchProb)
 	same := true
 	for i, v := range a.Samples() {
 		if c.Samples()[i] != v {
@@ -41,8 +44,8 @@ func TestGenerateCalibration(t *testing.T) {
 	var total time.Duration
 	const n = 8
 	for seed := int64(0); seed < n; seed++ {
-		tr := Generate("cal", seed, DefaultGenParams(KBps(60)))
-		st := Analyze(tr, 0.10)
+		tr := Generate("cal", seed, KBps(60), StudySwitchProb)
+		st := Analyze(tr)
 		total += st.SignificantChangeInterval
 	}
 	mean := total / n
@@ -52,25 +55,34 @@ func TestGenerateCalibration(t *testing.T) {
 }
 
 func TestGenerateDiurnalCycle(t *testing.T) {
-	p := DefaultGenParams(KBps(100))
-	p.NoiseSigma = 0
-	p.SwitchProb = 0
-	p.DiurnalAmplitude = 0.5
-	tr := Generate("diurnal", 1, p)
-	night := tr.At(4 * sim.Hour)  // peak
-	noonT := tr.At(16 * sim.Hour) // trough
-	if float64(night) <= float64(noonT)*1.5 {
-		t.Errorf("diurnal cycle missing: 4am=%v 4pm=%v", night, noonT)
+	// With no congestion switches only the diurnal cycle and the noise
+	// remain. Averaging the samples of the ten minutes around 04:00 (peak)
+	// and 16:00 (trough) of both days washes the noise out, leaving the
+	// cycle's 1.25/0.75 ratio.
+	tr := Generate("diurnal", 1, KBps(100), 0)
+	mean := func(at sim.Time) float64 {
+		var sum float64
+		var n int
+		for _, day := range []sim.Time{0, 24 * sim.Hour} {
+			for t := at - 5*sim.Minute; t < at+5*sim.Minute; t += tr.Interval() {
+				sum += float64(tr.At(day + t))
+				n++
+			}
+		}
+		return sum / float64(n)
+	}
+	ratio := mean(4*sim.Hour) / mean(16*sim.Hour)
+	if want := 1.25 / 0.75; math.Abs(ratio-want) > 0.03*want {
+		t.Errorf("04:00/16:00 bandwidth ratio = %.3f, want %.3f", ratio, want)
 	}
 }
 
 func TestGenerateBounds(t *testing.T) {
-	p := DefaultGenParams(KBps(40))
-	tr := Generate("b", 3, p)
+	tr := Generate("b", 3, KBps(40), StudySwitchProb)
 	if tr.Duration() != 48*sim.Hour {
 		t.Errorf("duration = %v", tr.Duration())
 	}
-	st := Analyze(tr, 0.10)
+	st := Analyze(tr)
 	if st.Min < minBandwidth {
 		t.Errorf("min = %v below floor", st.Min)
 	}
@@ -80,31 +92,14 @@ func TestGenerateBounds(t *testing.T) {
 	}
 }
 
-func TestGenerateDegenerateParams(t *testing.T) {
-	p := GenParams{Base: KBps(10), Interval: sim.Second}
-	tr := Generate("deg", 1, p) // zero duration clamps to one sample
-	if tr.Len() != 1 {
-		t.Errorf("len = %d", tr.Len())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("zero interval did not panic")
-		}
-	}()
-	Generate("bad", 1, GenParams{Base: KBps(10)})
-}
-
 func TestStepStateStaysInRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	state := 0
 	for i := 0; i < 10000; i++ {
-		state = stepState(rng, state, 4)
-		if state < 0 || state > 3 {
+		state = stepState(rng, state)
+		if state < 0 || state >= len(congestionLevels) {
 			t.Fatalf("state out of range: %d", state)
 		}
-	}
-	if got := stepState(rng, 0, 1); got != 0 {
-		t.Errorf("single state moved: %d", got)
 	}
 }
 
@@ -138,8 +133,8 @@ func TestStudyPool(t *testing.T) {
 
 func TestPoolClassesDistinct(t *testing.T) {
 	// Brazil links must be much slower than same-region US links on average.
-	slow := Analyze(Generate("slow", 1, DefaultGenParams(pairBase(Brazil, USEast))), 0.1)
-	fast := Analyze(Generate("fast", 1, DefaultGenParams(pairBase(USEast, USEast))), 0.1)
+	slow := Analyze(Generate("slow", 1, pairBase(Brazil, USEast), StudySwitchProb))
+	fast := Analyze(Generate("fast", 1, pairBase(USEast, USEast), StudySwitchProb))
 	if float64(fast.Mean) < 5*float64(slow.Mean) {
 		t.Errorf("class separation weak: fast=%v slow=%v", fast.Mean, slow.Mean)
 	}
@@ -158,15 +153,8 @@ func TestPairBaseSymmetry(t *testing.T) {
 // Property: TransferDuration is monotone in bytes and BytesIn is monotone in
 // duration, for arbitrary generated traces.
 func TestTransferMonotoneProperty(t *testing.T) {
-	prop := func(seed int64, b1, b2 uint32, startSec uint16) bool {
-		tr := Generate("p", seed, GenParams{
-			Base:             KBps(float64(seed%100) + 5),
-			NoiseSigma:       0.3,
-			CongestionLevels: []float64{1, 0.5, 0.1},
-			SwitchProb:       0.3,
-			Interval:         5 * sim.Second,
-			Duration:         10 * sim.Minute,
-		})
+	prop := func(seed int64, b1, b2 uint32, startSec uint16, switchProb uint8) bool {
+		tr := Generate("p", seed, KBps(float64(seed%100)+5), float64(switchProb)/255)
 		lo, hi := int64(b1%1<<20), int64(b2%1<<20)
 		if lo > hi {
 			lo, hi = hi, lo
@@ -183,7 +171,7 @@ func TestTransferMonotoneProperty(t *testing.T) {
 
 func TestAnalyzeSimple(t *testing.T) {
 	tr := New("x", sim.Second, []Bandwidth{100, 100, 200, 200})
-	st := Analyze(tr, 0.10)
+	st := Analyze(tr)
 	if st.Mean != 150 || st.Min != 100 || st.Max != 200 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -200,7 +188,7 @@ func TestAnalyzeSimple(t *testing.T) {
 
 func TestAnalyzeNoChanges(t *testing.T) {
 	tr := Constant("c", 100)
-	st := Analyze(tr, 0.10)
+	st := Analyze(tr)
 	if st.SignificantChanges != 0 {
 		t.Errorf("changes = %d", st.SignificantChanges)
 	}
@@ -211,7 +199,7 @@ func TestAnalyzeNoChanges(t *testing.T) {
 
 func TestChangePointsSimple(t *testing.T) {
 	tr := New("x", sim.Second, []Bandwidth{100, 105, 200, 195, 50})
-	cps := tr.ChangePoints(0.10)
+	cps := tr.ChangePoints()
 	want := []ChangePoint{
 		{At: 2 * sim.Second, From: 100, To: 200},
 		{At: 4 * sim.Second, From: 200, To: 50},
@@ -227,7 +215,7 @@ func TestChangePointsSimple(t *testing.T) {
 }
 
 func TestChangePointsNone(t *testing.T) {
-	if cps := Constant("c", 100).ChangePoints(0.10); len(cps) != 0 {
+	if cps := Constant("c", 100).ChangePoints(); len(cps) != 0 {
 		t.Errorf("constant trace has change points: %+v", cps)
 	}
 }
@@ -237,9 +225,9 @@ func TestChangePointsNone(t *testing.T) {
 // is exactly the statistic Analyze counts, on real generated traces.
 func TestChangePointsMatchAnalyze(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		tr := Generate("g", seed, DefaultGenParams(pairBase(USEast, Spain)))
-		cps := tr.ChangePoints(0.10)
-		st := Analyze(tr, 0.10)
+		tr := Generate("g", seed, pairBase(USEast, Spain), StudySwitchProb)
+		cps := tr.ChangePoints()
+		st := Analyze(tr)
 		if len(cps) != st.SignificantChanges {
 			t.Errorf("seed %d: %d change points vs %d significant changes",
 				seed, len(cps), st.SignificantChanges)
@@ -285,5 +273,35 @@ func TestVariationSeries(t *testing.T) {
 					tc.from, tc.window, tc.maxPoints, i, b, at, tr.At(at))
 			}
 		}
+	}
+}
+
+// hashTraces folds every trace's name and the bits of every sample, in
+// order, into one FNV-64a digest.
+func hashTraces(trs []*Trace) string {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, tr := range trs {
+		h.Write([]byte(tr.Name()))
+		for _, v := range tr.Samples() {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(float64(v)))
+			h.Write(buf[:])
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestStudyPoolPinned pins every sample of the seed-1 study pool, the
+// traces every experiment draws its links from: a change to the generator's
+// calibration or to the order of its random draws changes this digest.
+func TestStudyPoolPinned(t *testing.T) {
+	p := NewStudyPool(1)
+	trs := make([]*Trace, p.Size())
+	for i := range trs {
+		trs[i] = p.Trace(i)
+	}
+	const want = "4985858296f46e18"
+	if got := hashTraces(trs); got != want {
+		t.Errorf("study pool digest = %s, want %s", got, want)
 	}
 }

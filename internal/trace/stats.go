@@ -7,6 +7,11 @@ import (
 	"wadc/internal/sim"
 )
 
+// SignificantChange is the paper's significant-bandwidth-change statistic:
+// a change is significant when bandwidth departs by at least this fraction
+// from the last significant level.
+const SignificantChange = 0.10
+
 // Stats summarises a bandwidth trace. The paper calibrated its monitoring
 // parameters from exactly these statistics: it reports that the expected time
 // between significant (>= 10 %) bandwidth changes in its Internet traces was
@@ -20,16 +25,15 @@ type Stats struct {
 	// CoV is the coefficient of variation (StdDev / Mean).
 	CoV float64
 	// SignificantChangeInterval is the mean time between consecutive samples
-	// that differ by at least the threshold fraction from the last
-	// "significant" level (the paper's >= 10 % change statistic).
+	// that differ by at least SignificantChange from the last "significant"
+	// level (the paper's >= 10 % change statistic).
 	SignificantChangeInterval time.Duration
 	// SignificantChanges is the number of such changes observed.
 	SignificantChanges int
 }
 
-// Analyze computes summary statistics with the given significant-change
-// threshold (the paper uses 0.10).
-func Analyze(tr *Trace, threshold float64) Stats {
+// Analyze computes summary statistics.
+func Analyze(tr *Trace) Stats {
 	s := Stats{Min: math.MaxFloat64}
 	var sum, sumSq float64
 	for _, v := range tr.samples {
@@ -55,7 +59,7 @@ func Analyze(tr *Trace, threshold float64) Stats {
 		s.CoV = float64(s.StdDev) / mean
 	}
 
-	s.SignificantChanges = len(tr.ChangePoints(threshold))
+	s.SignificantChanges = len(tr.ChangePoints())
 	if s.SignificantChanges > 0 {
 		s.SignificantChangeInterval = tr.Duration().Duration() / time.Duration(s.SignificantChanges)
 	} else {
@@ -72,19 +76,19 @@ type ChangePoint struct {
 	From, To Bandwidth
 }
 
-// ChangePoints returns the trace's significant (>= threshold fractional)
-// bandwidth changes using the paper's level-walk statistic: a change is
-// significant when a sample departs by at least the threshold fraction from
-// the last significant level, and that sample becomes the new reference
-// level. This is the seeded ground-truth regime-change schedule that
-// detection-lag measurements (internal/estacc) and Analyze's
-// SignificantChanges count are both defined against.
-func (tr *Trace) ChangePoints(threshold float64) []ChangePoint {
+// ChangePoints returns the trace's significant bandwidth changes using the
+// paper's level-walk statistic: a change is significant when a sample
+// departs by at least SignificantChange from the last significant level, and
+// that sample becomes the new reference level. This is the seeded
+// ground-truth regime-change schedule that detection-lag measurements
+// (internal/estacc) and Analyze's SignificantChanges count are both defined
+// against.
+func (tr *Trace) ChangePoints() []ChangePoint {
 	var cps []ChangePoint
 	level := float64(tr.samples[0])
 	for i, v := range tr.samples[1:] {
 		f := float64(v)
-		if level > 0 && math.Abs(f-level)/level >= threshold {
+		if level > 0 && math.Abs(f-level)/level >= SignificantChange {
 			cps = append(cps, ChangePoint{
 				At:   tr.interval * sim.Time(i+1),
 				From: Bandwidth(level),

@@ -80,15 +80,10 @@ func ComposeBytes(a, b int64) int64 {
 }
 
 // ComposeDuration returns the CPU time of one pairwise composition at the
-// given per-pixel cost: the comparison touches every pixel of the (expanded)
+// paper's 7 µs/pixel: the comparison touches every pixel of the (expanded)
 // result.
-func ComposeDuration(a, b int64, perPixel time.Duration) time.Duration {
-	return time.Duration(ComposeBytes(a, b)) * perPixel
-}
-
-// DefaultComposeDuration applies the paper's 7 µs/pixel.
-func DefaultComposeDuration(a, b int64) time.Duration {
-	return ComposeDuration(a, b, netmodel.DefaultComposePerPixel)
+func ComposeDuration(a, b int64) time.Duration {
+	return time.Duration(ComposeBytes(a, b)) * netmodel.DefaultComposePerPixel
 }
 
 // MeanBytes returns the empirical mean image size across all sequences,

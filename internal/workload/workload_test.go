@@ -85,12 +85,11 @@ func TestComposeBytes(t *testing.T) {
 }
 
 func TestComposeDuration(t *testing.T) {
-	got := ComposeDuration(1000, 2000, 7*time.Microsecond)
-	if got != 14*time.Millisecond {
+	if got := ComposeDuration(1000, 2000); got != 14*time.Millisecond {
 		t.Errorf("duration = %v", got)
 	}
-	if DefaultComposeDuration(1, 2) != 14*time.Microsecond {
-		t.Errorf("default duration = %v", DefaultComposeDuration(1, 2))
+	if got := ComposeDuration(1, 2); got != 14*time.Microsecond {
+		t.Errorf("duration = %v", got)
 	}
 }
 
