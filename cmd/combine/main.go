@@ -114,6 +114,7 @@ func main() {
 		{*period > 0, "-period must be positive"},
 		{*tenants >= 1, "-tenants must be at least 1"},
 		{*arrivalRate >= 0, "-arrival-rate must be >= 0"},
+		{*progress >= 0, "-progress must be >= 0"},
 		{*tenants > 1 || !rateSet, "-arrival-rate applies to multi-tenant runs only (-tenants > 1)"},
 		{*tenants == 1 || *extra == 0, "-extra applies to single runs only, not with -tenants > 1"},
 	} {

@@ -24,6 +24,7 @@ func TestExtraRejectedWithTenants(t *testing.T) {
 	}{
 		{[]string{"-tenants", "2", "-alg", "local", "-extra", "2", "-iters", "1"}, "-extra"},
 		{[]string{"-servers", "4", "-alg", "global", "-extra", "2", "-iters", "3"}, "extra candidates"},
+		{[]string{"-servers", "4", "-alg", "local", "-extra", "-1", "-iters", "3"}, "extra candidates must be >= 0"},
 		{[]string{"-config", "-1", "-iters", "1"}, "-config"},
 		{[]string{"-servers", "2", "-iters", "0"}, "-iters"},
 		{[]string{"-servers", "2", "-iters", "1", "-period", "0"}, "-period"},
@@ -31,6 +32,7 @@ func TestExtraRejectedWithTenants(t *testing.T) {
 		{[]string{"-servers", "2", "-iters", "1", "-tenants", "-3"}, "-tenants"},
 		{[]string{"-servers", "2", "-iters", "1", "-tenants", "2", "-arrival-rate", "-1"}, "-arrival-rate"},
 		{[]string{"-servers", "2", "-iters", "1", "-arrival-rate", "2"}, "-arrival-rate"},
+		{[]string{"-servers", "2", "-iters", "1", "-progress", "-1s"}, "-progress"},
 	} {
 		out, err := exec.Command(bin, tc.args...).CombinedOutput()
 		var exit *exec.ExitError

@@ -45,6 +45,7 @@ func main() {
 		{*iters >= 1, "-iters must be at least 1"},
 		{*period > 0, "-period must be positive"},
 		{*workers >= 0, "-workers must be >= 0"},
+		{*progress >= 0, "-progress must be >= 0"},
 	} {
 		if !check.ok {
 			fmt.Fprintf(os.Stderr, "experiments: %s\n", check.msg)

@@ -31,6 +31,7 @@ func TestOutOfRangeFlagsRejected(t *testing.T) {
 		{[]string{"-iters", "-5"}, "-iters"},
 		{[]string{"-period", "0"}, "-period"},
 		{[]string{"-workers", "-3"}, "-workers"},
+		{[]string{"-progress", "-1s"}, "-progress"},
 	} {
 		out, err := exec.Command(bin, append([]string{"-fig", "2"}, tc.args...)...).CombinedOutput()
 		var exit *exec.ExitError

@@ -90,9 +90,10 @@ func Convergence(tl *Timeline, oracle OracleBandwidth, model plan.CostModel,
 	for t := sim.Time(0); t <= horizon; t += step {
 		bw := oracle(t)
 		held := tl.At(t)
-		heldCost := model.Evaluate(held, bw).Cost
-		best := placement.OneShotOptimizeAudited(held, hosts, model, bw, placement.Decision{})
-		bestCost := model.Evaluate(best, bw).Cost
+		ev := model.NewEvaluator(held, hosts, bw)
+		heldCost := ev.Cost(held)
+		best := placement.OneShotOptimizeAudited(ev, held, hosts, bw, placement.Decision{})
+		bestCost := ev.Cost(best)
 		if bestCost <= 0 {
 			continue
 		}

@@ -49,7 +49,7 @@ func TestConvergencePerfectWhenStatic(t *testing.T) {
 		return trace.Constant("l", 64*1024)
 	})
 	// Optimise the initial placement first so it is the oracle's choice.
-	best := placement.OneShotOptimizeAudited(initial, hosts, model, oracle(0), placement.Decision{})
+	best := placement.OneShotOptimizeAudited(model.NewEvaluator(initial, hosts, nil), initial, hosts, oracle(0), placement.Decision{})
 	tl := NewTimeline(best, nil)
 	rep := Convergence(tl, oracle, model, hosts, 10*sim.Minute, sim.Minute)
 	if rep.Samples != 11 {
@@ -83,7 +83,7 @@ func TestConvergenceDetectsStaleness(t *testing.T) {
 	}
 	oracle := OracleFromLinks(links)
 	initial := plan.NewPlacement(tree, sh, ch)
-	stale := placement.OneShotOptimizeAudited(initial, hosts, model, oracle(0), placement.Decision{})
+	stale := placement.OneShotOptimizeAudited(model.NewEvaluator(initial, hosts, nil), initial, hosts, oracle(0), placement.Decision{})
 	tl := NewTimeline(stale, nil)
 	rep := Convergence(tl, oracle, model, hosts, 10*sim.Minute, sim.Minute)
 	if rep.MeanGap < 1.5 {

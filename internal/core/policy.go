@@ -14,7 +14,8 @@ type PolicyOptions struct {
 	// local); zero means the package default.
 	Period time.Duration
 	// Extra is the local algorithm's count of additional random candidate
-	// hosts; NewPolicy rejects it for every other algorithm.
+	// hosts; NewPolicy rejects a negative count, and any count for every
+	// other algorithm.
 	Extra int
 	// Seed drives the local algorithm's candidate sampling.
 	Seed int64
@@ -23,6 +24,9 @@ type PolicyOptions struct {
 // NewPolicy constructs a placement policy by name. Policies are stateful:
 // every run (and every tenant of a multi-tenant run) needs its own instance.
 func NewPolicy(name string, opts PolicyOptions) (placement.Policy, error) {
+	if opts.Extra < 0 {
+		return nil, fmt.Errorf("core: extra candidates must be >= 0, got %d", opts.Extra)
+	}
 	if opts.Extra != 0 && name != "local" {
 		return nil, fmt.Errorf("core: extra candidates apply to the local algorithm only, not %q", name)
 	}

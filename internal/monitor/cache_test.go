@@ -234,7 +234,7 @@ func warmSystem() *System {
 	for h := 0; h < 9; h++ {
 		for a := 0; a < 9; a++ {
 			for b := a + 1; b < 9; b++ {
-				at := sim.Time(pairIndex(netmodel.HostID(a), netmodel.HostID(b))) * sim.Second
+				at := sim.Time(netmodel.PairIndex(netmodel.HostID(a), netmodel.HostID(b))) * sim.Second
 				sys.Cache(netmodel.HostID(h)).Record(netmodel.HostID(a), netmodel.HostID(b), 64*1024, at, ProvFreshCache)
 			}
 		}

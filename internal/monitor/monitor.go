@@ -125,16 +125,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// pairIndex is the dense table slot of the unordered pair {a, b}:
-// b*(b+1)/2 + a with a <= b. It does not depend on the host count, so a
-// table only grows when a higher host ID first appears.
-func pairIndex(a, b netmodel.HostID) int {
-	if a > b {
-		a, b = b, a
-	}
-	return int(b)*(int(b)+1)/2 + int(a)
-}
-
 // before is the piggyback order: newest first, ties broken by pair. Pairs
 // are unique within a cache, so the order is total.
 func before(x, y Entry) bool {
@@ -183,7 +173,7 @@ func (c *Cache) Record(a, b netmodel.HostID, bw trace.Bandwidth, at sim.Time, pr
 	if a > b {
 		a, b = b, a
 	}
-	k := pairIndex(a, b)
+	k := netmodel.PairIndex(a, b)
 	// old is the slot the pair's entry leaves: its current position, or a
 	// new last element. Everything between the new entry's position and old
 	// sorts after the new entry, so one shift makes room.
@@ -242,7 +232,7 @@ func (c *Cache) Lookup(a, b netmodel.HostID) (Entry, bool) {
 
 // LookupAny returns the cached measurement regardless of age.
 func (c *Cache) LookupAny(a, b netmodel.HostID) (Entry, bool) {
-	if k := pairIndex(a, b); k < len(c.table) && c.table[k].ok {
+	if k := netmodel.PairIndex(a, b); k < len(c.table) && c.table[k].ok {
 		return c.table[k].e, true
 	}
 	return Entry{}, false
@@ -280,7 +270,7 @@ func (c *Cache) merge(entries []Entry) {
 	for _, e := range entries {
 		// Most entries are already held at least as fresh here; skip them
 		// before building the Record arguments.
-		if k := pairIndex(e.A, e.B); k < len(c.table) && c.table[k].ok && c.table[k].e.At >= e.At {
+		if k := netmodel.PairIndex(e.A, e.B); k < len(c.table) && c.table[k].ok && c.table[k].e.At >= e.At {
 			continue
 		}
 		prov := ProvPiggyback

@@ -138,9 +138,10 @@ type FaultHook interface {
 // Network is the complete-graph network. Construct with NewNetwork, add
 // hosts, then set a bandwidth trace per link.
 type Network struct {
-	k         *sim.Kernel
-	hosts     []*Host
-	links     map[[2]HostID]*trace.Trace
+	k     *sim.Kernel
+	hosts []*Host
+	// links[PairIndex(a, b)] is the trace of the link a<->b, nil when unset.
+	links     []*trace.Trace
 	flatPrio  bool
 	observers []Observer
 	faults    FaultHook
@@ -173,10 +174,7 @@ func WithFlatPriorities() NetOption {
 
 // NewNetwork creates an empty network on kernel k with default parameters.
 func NewNetwork(k *sim.Kernel, opts ...NetOption) *Network {
-	n := &Network{
-		k:     k,
-		links: make(map[[2]HostID]*trace.Trace),
-	}
+	n := &Network{k: k}
 	for _, opt := range opts {
 		opt(n)
 	}
@@ -210,11 +208,17 @@ func (n *Network) NumHosts() int { return len(n.hosts) }
 // Observe registers a transfer observer.
 func (n *Network) Observe(o Observer) { n.observers = append(n.observers, o) }
 
-func linkKey(a, b HostID) [2]HostID {
+// PairIndex is the dense table slot of the unordered host pair {a, b}:
+// b*(b+1)/2 + a with a <= b. It does not depend on the host count, so a
+// table indexed by it only grows when a higher host ID first appears, and
+// the pairs of hosts below n fill exactly its first n*(n+1)/2 slots. The
+// network's link table, the monitor's caches and the optimiser's bandwidth
+// snapshots share this layout.
+func PairIndex(a, b HostID) int {
 	if a > b {
 		a, b = b, a
 	}
-	return [2]HostID{a, b}
+	return int(b)*(int(b)+1)/2 + int(a)
 }
 
 // SetLink assigns a bandwidth trace to the (undirected) link between a and b.
@@ -222,11 +226,20 @@ func (n *Network) SetLink(a, b HostID, tr *trace.Trace) {
 	if a == b {
 		panic("netmodel: self-link")
 	}
-	n.links[linkKey(a, b)] = tr
+	i := PairIndex(a, b)
+	if i >= len(n.links) {
+		n.links = append(n.links, make([]*trace.Trace, i+1-len(n.links))...)
+	}
+	n.links[i] = tr
 }
 
 // Link returns the trace for the link between a and b, or nil if unset.
-func (n *Network) Link(a, b HostID) *trace.Trace { return n.links[linkKey(a, b)] }
+func (n *Network) Link(a, b HostID) *trace.Trace {
+	if i := PairIndex(a, b); i < len(n.links) {
+		return n.links[i]
+	}
+	return nil
+}
 
 // BandwidthAt returns the ground-truth bandwidth of the link at time t. This
 // is the oracle interface: only the monitoring subsystem (probes and passive

@@ -26,6 +26,14 @@ type linkTenantKey struct {
 	tenant int32
 }
 
+// linkKey is the undirected link a<->b with its lower host ID first.
+func linkKey(a, b HostID) [2]HostID {
+	if a > b {
+		a, b = b, a
+	}
+	return [2]HostID{a, b}
+}
+
 // accountTransfer records a completed remote transfer for the current tenant.
 func (n *Network) accountTransfer(msg *Message, dur time.Duration) {
 	t := n.k.CurrentTenant()

@@ -65,7 +65,7 @@ func (g *Global) Attach(x *Instance, e *dataflow.Engine) {
 			cur := e.CurrentPlacement()
 			d := g.au.StartDecision(x.ClientHost, -1)
 			bw := x.AuditedSnapshotBW(p, x.ClientHost, d)
-			next := OneShotOptimizeAudited(cur, x.Hosts, x.Model, bw, d)
+			next := OneShotOptimizeAudited(x.eval, cur, x.Hosts, bw, d)
 			if e.Completed() || e.Aborted() {
 				return // probes may have outlived the run
 			}

@@ -15,6 +15,11 @@ const improvementEps = 1e-9
 // terminates naturally, this is a safety net only.
 const maxOneShotRounds = 10000
 
+// maxStackPath is the critical-path length the optimiser keeps without a
+// heap allocation: a complete tree of up to 2^30 servers, a left-deep one of
+// up to 31.
+const maxStackPath = 32
+
 // OneShotOptimizeAudited is the paper's §2.1 iterative step, usable from any
 // starting placement (the global algorithm seeds it with the current
 // placement instead of download-all):
@@ -25,10 +30,11 @@ const maxOneShotRounds = 10000
 //	  remember the cheapest resulting placement
 //	until it is no cheaper than the current one
 //
-// bw is called at most once per ordered host pair per call, in the order the
-// search first needs each edge, and is treated as a fixed snapshot for the
-// whole search. The returned placement is a new value; the input is not
-// modified.
+// ev must be an evaluator of initial's tree whose host range covers hosts
+// and initial; the call resets it to bw, so bw is called at most once per
+// ordered host pair per call, in the order the search first needs each
+// edge, and is treated as a fixed snapshot for the whole search. The
+// returned placement is a new value; the input is not modified.
 //
 // The decision audit trail records the starting critical path, every
 // candidate evaluated (with its predicted cost), each adopted move (with its
@@ -37,21 +43,27 @@ const maxOneShotRounds = 10000
 // with d.End). A zero d records nothing: the search itself is byte-identical
 // either way.
 //
-// One plan.Evaluator serves the whole decision. Each candidate is scored by
-// moving the operator in place on the working placement and moving it back;
-// only the winning move of a round is applied.
-func OneShotOptimizeAudited(initial *plan.Placement, hosts []netmodel.HostID, model plan.CostModel, bw plan.BandwidthFn, d Decision) *plan.Placement {
+// Each candidate is scored by moving the operator in place on the working
+// placement and moving it back; only the winning move of a round is
+// applied, and the round's critical path is read off the evaluator into one
+// reused buffer.
+func OneShotOptimizeAudited(ev *plan.Evaluator, initial *plan.Placement, hosts []netmodel.HostID, bw plan.BandwidthFn, d Decision) *plan.Placement {
+	ev.Reset(bw)
 	cur := initial.Clone()
-	ev := model.NewEvaluator(cur, hosts, bw)
-	eval := ev.Evaluate(cur)
-	d.Path(eval.Cost, eval.Path)
-	curCost := eval.Cost
+	tree := cur.Tree()
+	curCost := ev.Cost(cur)
+	var buf [maxStackPath]plan.NodeID
+	path := ev.CriticalPath(buf[:0])
+	d.Path(curCost, path)
 	candidates := 0
 	for round := 0; round < maxOneShotRounds; round++ {
 		bestCost := curCost
 		bestOp := plan.NoNode
 		var bestFrom, bestTo netmodel.HostID
-		for _, op := range eval.CriticalOperators(cur.Tree()) {
+		for _, op := range path {
+			if tree.Node(op).Kind != plan.Operator {
+				continue
+			}
 			from := cur.Loc(op)
 			for _, h := range hosts {
 				if h == from {
@@ -74,7 +86,8 @@ func OneShotOptimizeAudited(initial *plan.Placement, hosts []netmodel.HostID, mo
 		d.Move(bestOp, bestFrom, bestTo, curCost-bestCost)
 		cur.SetLoc(bestOp, bestTo)
 		curCost = bestCost
-		eval = ev.Evaluate(cur)
+		ev.Cost(cur)
+		path = ev.CriticalPath(path[:0])
 	}
 	d.End(curCost, candidates)
 	return cur
@@ -120,7 +133,7 @@ func initialOneShot(p *sim.Proc, x *Instance, au *Auditor, alg string) *plan.Pla
 	au.Bind(p.Kernel(), alg)
 	d := au.StartDecision(x.ClientHost, -1)
 	bw := x.AuditedSnapshotBW(p, x.ClientHost, d)
-	return OneShotOptimizeAudited(x.DownloadAllPlacement(), x.Hosts, x.Model, bw, d)
+	return OneShotOptimizeAudited(x.eval, x.DownloadAllPlacement(), x.Hosts, bw, d)
 }
 
 // Attach implements Policy: one-shot has no runtime behaviour.

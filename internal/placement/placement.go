@@ -49,6 +49,11 @@ type Instance struct {
 	// snapshot serves to an optimiser is joined to ground truth and emitted
 	// as estimator telemetry. Nil (the default) records nothing.
 	Acc *estacc.Tracker
+
+	// eval scores every optimiser decision on this instance: its tree and
+	// candidate hosts never change, so each decision only resets it to its
+	// bandwidth snapshot.
+	eval *plan.Evaluator
 }
 
 // NewInstance derives the candidate host set from the server/client layout.
@@ -65,11 +70,13 @@ func NewInstance(net *netmodel.Network, mon *monitor.System, tree *plan.Tree,
 	if !seen[clientHost] {
 		hosts = append(hosts, clientHost)
 	}
-	return &Instance{
+	x := &Instance{
 		Net: net, Mon: mon, Tree: tree,
 		ServerHosts: serverHosts, ClientHost: clientHost,
 		Hosts: hosts, Model: model,
 	}
+	x.eval = model.NewEvaluator(x.DownloadAllPlacement(), hosts, nil)
+	return x
 }
 
 // DownloadAllPlacement returns the baseline placement (Figure 1).
@@ -87,21 +94,27 @@ func (x *Instance) DownloadAllPlacement() *plan.Placement {
 // open decision record d, and joins it to ground truth through the
 // instance's estimator-accuracy tracker (if any). A zero d attributes the
 // estimates to decision 0.
+//
+// The memo is one dense table per snapshot with a slot for every pair of
+// the network's hosts (netmodel.PairIndex). Every snapshot gets its own,
+// because local decisions on one instance can be open at the same time.
 func (x *Instance) AuditedSnapshotBW(p *sim.Proc, viewer netmodel.HostID, d Decision) plan.BandwidthFn {
-	type key [2]netmodel.HostID
-	memo := make(map[key]trace.Bandwidth)
+	type estimate struct {
+		bw    trace.Bandwidth
+		known bool
+	}
+	n := x.Net.NumHosts()
+	memo := make([]estimate, n*(n+1)/2)
 	return func(a, b netmodel.HostID) trace.Bandwidth {
-		k := key{a, b}
-		if a > b {
-			k = key{b, a}
-		}
-		if v, ok := memo[k]; ok {
-			return v
+		lo, hi := min(a, b), max(a, b)
+		m := &memo[netmodel.PairIndex(lo, hi)]
+		if m.known {
+			return m.bw
 		}
 		v, info := x.Mon.EstimateDetail(p, viewer, a, b)
-		d.Bandwidth(k[0], k[1], float64(v), info.Prov)
-		x.Acc.Consumed(viewer, k[0], k[1], v, info, d.Seq(), d.Alg())
-		memo[k] = v
+		d.Bandwidth(lo, hi, float64(v), info.Prov)
+		x.Acc.Consumed(viewer, lo, hi, v, info, d.Seq(), d.Alg())
+		*m = estimate{bw: v, known: true}
 		return v
 	}
 }

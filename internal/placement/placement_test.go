@@ -28,7 +28,7 @@ func TestOneShotOptimizeFindsDetour(t *testing.T) {
 	}
 	model := plan.DefaultCostModel(128 * 1024)
 	hosts := []netmodel.HostID{0, 1, 2}
-	got := OneShotOptimizeAudited(initial, hosts, model, bw, Decision{})
+	got := OneShotOptimizeAudited(model.NewEvaluator(initial, hosts, nil), initial, hosts, bw, Decision{})
 	op := tree.Operators()[0]
 	if got.Loc(op) != 1 {
 		t.Errorf("operator placed at h%d, want h1 (detour around slow link)", got.Loc(op))
@@ -51,7 +51,7 @@ func TestOneShotOptimizeStableWhenOptimal(t *testing.T) {
 	initial := plan.NewPlacement(tree, sh, ch)
 	model := plan.DefaultCostModel(128 * 1024)
 	hosts := []netmodel.HostID{0, 1, 2, 3, 4}
-	got := OneShotOptimizeAudited(initial, hosts, model, uniformBW(64*1024), Decision{})
+	got := OneShotOptimizeAudited(model.NewEvaluator(initial, hosts, nil), initial, hosts, uniformBW(64*1024), Decision{})
 	if a, b := model.Evaluate(got, uniformBW(64*1024)).Cost, model.Evaluate(initial, uniformBW(64*1024)).Cost; a > b {
 		t.Errorf("optimiser made things worse: %v > %v", a, b)
 	}
@@ -89,7 +89,7 @@ func TestOneShotNeverWorseProperty(t *testing.T) {
 		for i := range hosts {
 			hosts[i] = netmodel.HostID(i)
 		}
-		got := OneShotOptimizeAudited(initial, hosts, model, bw, Decision{})
+		got := OneShotOptimizeAudited(model.NewEvaluator(initial, hosts, nil), initial, hosts, bw, Decision{})
 		return model.Evaluate(got, bw).Cost <= model.Evaluate(initial, bw).Cost+1e-9
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {

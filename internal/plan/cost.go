@@ -13,8 +13,9 @@ import (
 // algorithms see measured (possibly stale) values, not ground truth.
 //
 // An Evaluator, and so one optimiser pass, calls it at most once per ordered
-// host pair and treats the answers as a fixed snapshot: a function whose
-// answer for a pair changes between calls is seen at its first answer.
+// host pair until the next Reset and treats the answers as a fixed snapshot:
+// a function whose answer for a pair changes between calls is seen at its
+// first answer.
 type BandwidthFn func(a, b netmodel.HostID) trace.Bandwidth
 
 // CostModel holds the per-partition constants used to score placements.
@@ -83,15 +84,16 @@ type Evaluation struct {
 // branch-and-bound friendly: bandwidth is queried only for edges whose
 // endpoints differ, so a caller counting queries sees only the links the
 // algorithm actually needed. It builds a one-off Evaluator; callers scoring
-// many placements against one bandwidth snapshot should keep an Evaluator.
+// many placements should keep an Evaluator and Reset it per snapshot.
 func (m CostModel) Evaluate(p *Placement, bw BandwidthFn) Evaluation {
 	return m.NewEvaluator(p, nil, bw).Evaluate(p)
 }
 
-// Evaluator scores placements of one tree against one bandwidth snapshot.
-// It keeps the per-host NIC and CPU loads in dense slices indexed by host ID
-// and caches every edge cost per ordered host pair, filled lazily on first
-// use, so scoring a placement allocates nothing once the cache is warm.
+// Evaluator scores placements of one tree against one bandwidth snapshot at
+// a time. It keeps the per-host NIC and CPU loads in dense slices indexed by
+// host ID and caches every edge cost per ordered host pair, filled lazily on
+// first use and dropped by Reset, so scoring a placement allocates nothing
+// once the cache is warm, and neither does starting a new snapshot.
 //
 // Its results are bit-identical to a fresh evaluation with the same
 // bandwidths, because it performs the same floating-point operations in the
@@ -108,30 +110,48 @@ type Evaluator struct {
 	bw   BandwidthFn
 	n    int // host IDs index the dense slices: [0, n)
 
-	compute, disk float64 // per-node CPU charge in seconds
+	// edges lists every node but the client with its parent, in the order
+	// a depth-first walk from the client first crosses that edge; nodes
+	// lists every node with its children and its CPU charge, children
+	// before parents.
+	edges []treeEdge
+	nodes []treeNode
 
-	// preorder lists every node but the client in the order a depth-first
-	// walk from the client first crosses its edge to its parent; postorder
-	// lists every node with children before parents.
-	preorder, postorder []NodeID
-
-	edge  []float64 // edge[from*n+to]: cached EdgeCost, valid where known
-	known []bool
-	nic   []float64 // per-host NIC load
-	cpu   []float64 // per-host CPU load
-	up    []float64 // per-node cost of the edge to its parent
-	costs []float64 // per-node accumulated path cost
+	cache []edgeSlot // cache[from*n+to]: the edge's cost in this snapshot
+	nic   []float64  // per-host NIC load
+	cpu   []float64  // per-host CPU load
+	up    []float64  // per-node cost of the edge to its parent
+	costs []float64  // per-node accumulated path cost
 
 	// Set by Cost for Evaluate.
 	critical, bottleneck float64
 	bottleneckHost       netmodel.HostID
 }
 
+// edgeSlot is one cached edge cost; known is false until the snapshot's
+// first query of the edge.
+type edgeSlot struct {
+	cost  float64
+	known bool
+}
+
+// treeEdge is one child-to-parent edge of the evaluator's pre-order.
+type treeEdge struct{ node, parent NodeID }
+
+// treeNode is one node of the evaluator's post-order: its children and the
+// CPU seconds it charges its host (disk for a server, compute for an
+// operator, none for the client).
+type treeNode struct {
+	id   NodeID
+	kids []NodeID
+	own  float64
+}
+
 // NewEvaluator returns an evaluator for placements of start's tree. Every
 // placement it scores must be of that tree and put its nodes on hosts no
 // larger than the largest ID in hosts and in start. bw is called at most
 // once per ordered host pair, on the first placement that needs that edge,
-// and must act as a fixed snapshot for the evaluator's lifetime.
+// and must act as a fixed snapshot until the next Reset.
 func (m CostModel) NewEvaluator(start *Placement, hosts []netmodel.HostID, bw BandwidthFn) *Evaluator {
 	var maxHost netmodel.HostID
 	for _, h := range hosts {
@@ -141,48 +161,57 @@ func (m CostModel) NewEvaluator(start *Placement, hosts []netmodel.HostID, bw Ba
 		maxHost = max(maxHost, h)
 	}
 	n := int(maxHost) + 1
-	nodes := start.tree.NumNodes()
-	slab := make([]float64, n*n+2*n+2*nodes)
+	t := start.tree
+	nodes := t.NumNodes()
+	slab := make([]float64, 2*n+2*nodes)
 	next := func(size int) []float64 {
 		s := slab[:size:size]
 		slab = slab[size:]
 		return s
 	}
 	e := &Evaluator{
-		m: m, tree: start.tree, bw: bw, n: n,
-		compute:   m.ComputeDur.Seconds(),
-		disk:      m.DiskDur.Seconds(),
-		preorder:  make([]NodeID, 0, nodes-1),
-		postorder: make([]NodeID, 0, nodes),
-		edge:      next(n * n),
-		known:     make([]bool, n*n),
-		nic:       next(n),
-		cpu:       next(n),
-		up:        next(nodes),
-		costs:     next(nodes),
+		m: m, tree: t, bw: bw, n: n,
+		edges: make([]treeEdge, 0, nodes-1),
+		nodes: make([]treeNode, 0, nodes),
+		cache: make([]edgeSlot, n*n),
+		nic:   next(n),
+		cpu:   next(n),
+		up:    next(nodes),
+		costs: next(nodes),
 	}
-	e.walk(start.tree.client)
+	e.walk(t.client)
 	return e
 }
 
-// walk appends id's subtree to the traversal orders: each child to preorder
-// before the child's own subtree, id to postorder after all of them.
+// walk appends id's subtree to the traversal tables: the edge to each child
+// before the child's own subtree, id itself after all of them.
 func (e *Evaluator) walk(id NodeID) {
-	for _, c := range e.tree.nodes[id].Children {
-		e.preorder = append(e.preorder, c)
+	n := &e.tree.nodes[id]
+	for _, c := range n.Children {
+		e.edges = append(e.edges, treeEdge{node: c, parent: id})
 		e.walk(c)
 	}
-	e.postorder = append(e.postorder, id)
+	var own float64
+	switch n.Kind {
+	case Operator:
+		own = e.m.ComputeDur.Seconds()
+	case Server:
+		own = e.m.DiskDur.Seconds()
+	}
+	e.nodes = append(e.nodes, treeNode{id: id, kids: n.Children, own: own})
 }
 
-// edgeCost is EdgeCost through the evaluator's per-pair cache.
-func (e *Evaluator) edgeCost(from, to netmodel.HostID) float64 {
-	i := int(from)*e.n + int(to)
-	if !e.known[i] {
-		e.edge[i] = e.m.EdgeCost(from, to, e.bw)
-		e.known[i] = true
-	}
-	return e.edge[i]
+// Reset starts a new bandwidth snapshot: it forgets every cached edge cost,
+// so bw is asked again for each pair, in the order the next placements need
+// them.
+func (e *Evaluator) Reset(bw BandwidthFn) {
+	e.bw = bw
+	clear(e.cache)
+}
+
+// fill queries and caches an edge's cost on its first use in a snapshot.
+func (e *Evaluator) fill(s *edgeSlot, from, to netmodel.HostID) {
+	s.cost, s.known = e.m.EdgeCost(from, to, e.bw), true
 }
 
 // Cost returns p's score, Evaluation.Cost, without building an Evaluation.
@@ -191,101 +220,93 @@ func (e *Evaluator) edgeCost(from, to netmodel.HostID) float64 {
 //lint:hotpath
 //lint:allocbudget 0 every buffer is sized by NewEvaluator and reused for each candidate
 func (e *Evaluator) Cost(p *Placement) float64 {
-	t := e.tree
-	loc := p.loc
-	clear(e.nic)
-	clear(e.cpu)
-	for _, c := range e.preorder {
-		from, to := loc[c], loc[t.nodes[c].Parent]
-		ec := e.edgeCost(from, to)
-		e.up[c] = ec
+	loc, n := p.loc, e.n
+	cache, nic, cpu, up, costs := e.cache, e.nic, e.cpu, e.up, e.costs
+	clear(nic)
+	clear(cpu)
+	for _, r := range e.edges {
+		from, to := loc[r.node], loc[r.parent]
+		s := &cache[int(from)*n+int(to)]
+		if !s.known {
+			e.fill(s, from, to)
+		}
+		ec := s.cost
+		up[r.node] = ec
 		if ec > 0 {
 			// One NIC per host: each remote transfer occupies both
 			// endpoints' NICs for its duration.
-			e.nic[from] += ec
-			e.nic[to] += ec
+			nic[from] += ec
+			nic[to] += ec
 		}
 	}
-	for _, id := range e.postorder {
-		n := &t.nodes[id]
+	for _, r := range e.nodes {
 		best := 0.0
-		for _, c := range n.Children {
-			if cc := e.costs[c] + e.up[c]; cc > best {
+		for _, c := range r.kids {
+			if cc := costs[c] + up[c]; cc > best {
 				best = cc
 			}
 		}
-		var own float64
-		switch n.Kind {
-		case Operator:
-			own = e.compute
-			e.cpu[loc[id]] += own
-		case Server:
-			own = e.disk
-			e.cpu[loc[id]] += own
-		}
-		e.costs[id] = best + own
+		// The client charges nothing: adding its zero leaves the
+		// non-negative load unchanged.
+		cpu[loc[r.id]] += r.own
+		costs[r.id] = best + r.own
 	}
-	e.critical = e.costs[t.client]
-	e.bottleneck, e.bottleneckHost = 0, 0
-	for h, l := range e.nic {
-		if c := e.cpu[h]; c > l {
+	critical := costs[e.tree.client]
+	var bottleneck float64
+	var bottleneckHost netmodel.HostID
+	cpu = cpu[:len(nic)]
+	for h, l := range nic {
+		if c := cpu[h]; c > l {
 			l = c
 		}
-		if l > e.bottleneck {
-			e.bottleneck = l
-			e.bottleneckHost = netmodel.HostID(h)
+		if l > bottleneck {
+			bottleneck = l
+			bottleneckHost = netmodel.HostID(h)
 		}
 	}
-	total := e.critical
-	if e.bottleneck > total {
-		total = e.bottleneck
+	e.critical, e.bottleneck, e.bottleneckHost = critical, bottleneck, bottleneckHost
+	total := critical
+	if bottleneck > total {
+		total = bottleneck
 	}
 	return total
 }
 
-// Evaluate scores p and extracts its critical path: from the client,
-// repeatedly descend into the child that realised the max.
-func (e *Evaluator) Evaluate(p *Placement) Evaluation {
-	total := e.Cost(p)
-	t := e.tree
-	path := make([]NodeID, 1, t.depth+2) // the client, one operator per level, a server
-	path[0] = t.client
-	cur := t.client
+// CriticalPath appends to buf the critical path of the placement last
+// scored by Cost and returns the extended slice: from the client,
+// repeatedly descend into the child that realised the max, down to a
+// server.
+func (e *Evaluator) CriticalPath(buf []NodeID) []NodeID {
+	cur := e.tree.client
+	buf = append(buf, cur)
 	for {
-		n := t.Node(cur)
-		if len(n.Children) == 0 {
-			break
+		kids := e.tree.nodes[cur].Children
+		if len(kids) == 0 {
+			return buf
 		}
 		bestChild := NoNode
 		bestCost := -1.0
-		for _, c := range n.Children {
-			cc := e.costs[c] + e.up[c]
-			if cc > bestCost {
+		for _, c := range kids {
+			if cc := e.costs[c] + e.up[c]; cc > bestCost {
 				bestCost = cc
 				bestChild = c
 			}
 		}
-		path = append(path, bestChild)
+		buf = append(buf, bestChild)
 		cur = bestChild
 	}
+}
+
+// Evaluate scores p and extracts its critical path.
+func (e *Evaluator) Evaluate(p *Placement) Evaluation {
+	total := e.Cost(p)
 	return Evaluation{
 		Cost:           total,
 		CriticalPath:   e.critical,
 		Bottleneck:     e.bottleneck,
 		BottleneckHost: e.bottleneckHost,
-		Path:           path,
-		NodeCost:       append([]float64(nil), e.costs...),
+		// The client, one operator per level, a server.
+		Path:     e.CriticalPath(make([]NodeID, 0, e.tree.depth+2)),
+		NodeCost: append([]float64(nil), e.costs...),
 	}
-}
-
-// CriticalOperators filters an evaluation's path down to operator nodes, the
-// candidates the one-shot algorithm considers moving.
-func (e Evaluation) CriticalOperators(t *Tree) []NodeID {
-	out := make([]NodeID, 0, len(e.Path))
-	for _, id := range e.Path {
-		if t.Node(id).Kind == Operator {
-			out = append(out, id)
-		}
-	}
-	return out
 }

@@ -55,11 +55,10 @@ func TestEvaluateDownloadAll(t *testing.T) {
 		t.Errorf("cost = %v, want 2.0", ev.Cost)
 	}
 	if len(ev.Path) != 3 { // client, op, server
-		t.Errorf("path = %v", ev.Path)
+		t.Fatalf("path = %v", ev.Path)
 	}
-	ops := ev.CriticalOperators(tr)
-	if len(ops) != 1 {
-		t.Errorf("critical operators = %v", ops)
+	if op := ev.Path[1]; tr.Node(op).Kind != Operator {
+		t.Errorf("path %v: node %d is a %v, want the operator", ev.Path, op, tr.Node(op).Kind)
 	}
 }
 
